@@ -5,13 +5,8 @@ criterion.  All comparisons are exact integer / exact string equality; there
 are no tolerances anywhere.
 """
 
-import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
-
-import pytest
 
 from paramod.chern import (
     BlowupLineBundle,
@@ -237,16 +232,8 @@ _GOLDEN_COMMANDS = [
 ]
 
 
-def test_criterion_11_cli_determinism(tmp_path):
-    forest_path = tmp_path / "forest.json"
-    forest_path.write_text(
-        json.dumps({"L2": 4, "nodes": [{"id": "p", "d": 4}]}), encoding="utf-8")
-    commands = _GOLDEN_COMMANDS + [["invariants", "--forest", str(forest_path)]]
+def test_criterion_11_cli_determinism(matches_stored_stdout):
+    commands = _GOLDEN_COMMANDS + [["invariants", "--forest", "tests/golden/forest_p4.json"]]
     for argv in commands:
-        runs = [
-            subprocess.run([sys.executable, "-m", "paramod", *argv],
-                           capture_output=True, check=True).stdout
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1], f"non-deterministic output for {argv}"
-    _report(11, "every golden CLI command is byte-identical across runs")
+        matches_stored_stdout(argv)
+    _report(11, "every golden CLI command reproduces its stored stdout byte for byte")

@@ -225,20 +225,12 @@ GOLDEN_COMMANDS = [
 ]
 
 
-def run_subprocess(argv):
-    return subprocess.run(
-        [sys.executable, "-m", "paramod", *argv],
-        capture_output=True, check=True,
-    ).stdout
+GOLDEN_ARGV = [fmt + argv for argv in GOLDEN_COMMANDS for fmt in ([], ["--format", "text"])]
 
 
-@pytest.mark.parametrize("argv", GOLDEN_COMMANDS,
-                         ids=[" ".join(a) for a in GOLDEN_COMMANDS])
-def test_byte_determinism(argv):
-    first = run_subprocess(argv)
-    second = run_subprocess(argv)
-    assert first == second
-    assert first.endswith(b"\n")
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=[" ".join(a) for a in GOLDEN_ARGV])
+def test_byte_determinism(argv, matches_stored_stdout):
+    matches_stored_stdout(argv)
 
 
 def test_help_mentions_fronted_module():

@@ -46,7 +46,8 @@ def chi_abelian(v: ChernDatum) -> int:
     """chi by Riemann-Roch on the abelian surface: (c1^2 - 2c2)/2."""
     c1_sq = L_SELF_INTERSECTION * v.c1 * v.c1
     num = c1_sq - 2 * v.c2
-    assert num % 2 == 0
+    if num % 2:
+        raise ConsistencyError(f"odd Riemann-Roch numerator {num}")
     return num // 2
 
 
@@ -119,14 +120,16 @@ def blowup_intersection(x: BlowupLineBundle, y: BlowupLineBundle) -> int:
 def chi_blowup_line(bl: BlowupLineBundle) -> int:
     """chi(D) = (D^2 - D.K)/2 on the blow-up, where K = E and chi(O) = 0."""
     num = blowup_intersection(bl, bl) - blowup_intersection(bl, BLOWUP_CANONICAL)
-    assert num % 2 == 0
+    if num % 2:
+        raise ConsistencyError(f"odd Riemann-Roch numerator {num}")
     return num // 2
 
 
 def genus_blowup_divisor(bl: BlowupLineBundle) -> int:
     """Adjunction genus 1 + (D^2 + D.K)/2 of a smooth curve in the class."""
     num = blowup_intersection(bl, bl) + blowup_intersection(bl, BLOWUP_CANONICAL)
-    assert num % 2 == 0
+    if num % 2:
+        raise ConsistencyError(f"odd adjunction numerator {num}")
     return 1 + num // 2
 
 

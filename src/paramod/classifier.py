@@ -119,7 +119,7 @@ def classify(q: Character, root: Character) -> SurfaceType:
         return SurfaceType.Invalid
     if not q.is_trivial():
         if all(e % 2 == 0 for e in root.exponents):
-            raise AssertionError("square root of a nontrivial character must have order 4")
+            raise ConsistencyError("square root of a nontrivial character must have order 4")
         return SurfaceType.II
     if root.is_trivial():
         return SurfaceType.PG3
@@ -261,7 +261,8 @@ def moduli_decomposition() -> dict:
     h^1 of the tangent sheaf; pair counts over all valid torsion data are
     compared with the cover degrees.  Any mismatch raises ConsistencyError.
     """
-    reports = {t: surface_report(t) for t in (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II)}
+    types = (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II)
+    reports = {t: surface_report(t) for t in types}
     counts = pair_counts()
     for t, rep in reports.items():
         if counts.get(t, 0) != rep.moduli.cover_degree:
@@ -274,12 +275,10 @@ def moduli_decomposition() -> dict:
                 f"type {t.value}: h1 = {rep.h1_TS} but dimension {rep.moduli.dimension}"
             )
     return {
-        "components": [reports[t].moduli.to_json()
-                       for t in (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II)],
-        "component_count": 3,
-        "dimensions": [4, 4, 3],
-        "pair_counts": {t.value: counts[t] for t in
-                        (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II)},
+        "components": [reports[t].moduli.to_json() for t in types],
+        "component_count": len(reports),
+        "dimensions": [reports[t].moduli.dimension for t in types],
+        "pair_counts": {t.value: counts[t] for t in types},
         "degenerate_pairs": counts.get(SurfaceType.PG3, 0),
         "ample_canonical": {
             "Ia": "general surface",

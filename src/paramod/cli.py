@@ -31,14 +31,22 @@ from paramod.paramodular import (
     special_generators,
 )
 
-GENERATOR_FAMILY = "special6"
-
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write("\n".join(text_lines(payload)) + "\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,14 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", default="characters2",
                    choices=("characters2", "psi12", "pairs48"),
                    help="which state set to decompose")
-    p.add_argument("--generators", default=GENERATOR_FAMILY,
-                   choices=(GENERATOR_FAMILY,),
-                   help="generator family (only the six standard instances)")
     p.add_argument("--closure", action="store_true",
                    help="also enumerate the induced permutation group on the "
                         "12-element complement and report transitivity")
-    p.add_argument("--cap", type=int, default=orbits.DEFAULT_CLOSURE_CAP,
-                   help="element cap for the group closure")
+    p.add_argument("--cap", type=_positive_int, default=orbits.DEFAULT_CLOSURE_CAP,
+                   help="element cap for the group closure (>= 1)")
 
     p = sub.add_parser("membership", help="membership certificate (module: paramodular)",
                        description="Check the integrality pattern and symplectic "
@@ -74,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "(module: paramodular).")
     p.add_argument("--matrix", required=True,
                    help="16 comma-separated rationals, row-major, e.g. '1,0,...'")
-    p.add_argument("--d", type=int, default=2, help="polarization type (default 2)")
+    p.add_argument("--d", type=_positive_int, default=2,
+                   help="polarization type, >= 1 (default 2)")
 
     p = sub.add_parser("act", help="monodromy action on a character (module: paramodular)",
                        description="Apply a group element to a torsion character "
@@ -120,24 +126,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_generator(name: str):
-    for label, g in special_generators():
-        if label == name:
-            return g
-    raise ValueError(f"unknown generator {name!r}; choose from "
-                     f"{[label for label, _ in special_generators()]}")
+    generators = dict(special_generators())
+    if name not in generators:
+        raise ValueError(f"unknown generator {name!r}; choose from {list(generators)}")
+    return generators[name]
 
 
 def _cmd_orbits(args) -> dict:
     report = orbits.standard_orbit_report(args.set)
     if args.closure:
-        table = character_table(make_lattice(2))
-        pset = orbits.psi_set(table)
-        perms = [orbits.permutation_of(g, pset) for _, g in special_generators()]
+        pset = orbits.psi_set(character_table(make_lattice(2)))
+        generators = special_generators()
+        perms = [orbits.permutation_of(g, pset) for _, g in generators]
         closure = orbits.group_closure(perms, 12, cap=args.cap)
         report["closure"] = closure.to_json()
         report["permutations"] = {
-            name: orbits.permutation_of(g, pset).cycle_string(pset.labels)
-            for name, g in special_generators()
+            name: perm.cycle_string(pset.labels)
+            for (name, _), perm in zip(generators, perms)
         }
     return report
 

@@ -219,12 +219,30 @@ def branch_scenarios() -> list[dict]:
     return out
 
 
+def _json_field(value, types: tuple, what: str):
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{what} must be a JSON {names}, got {value!r}")
+    return value
+
+
 def forest_from_json(payload: dict) -> tuple[int, SingularityForest]:
-    """Parse {"L2": n, "nodes": [{"id", "d", "parent"}]} input."""
-    if "L2" not in payload or "nodes" not in payload:
+    """Parse {"L2": n, "nodes": [{"id", "d", "parent"}]} input.
+
+    L2 and every d must be JSON integers, ids and parents strings or
+    integers; anything else raises ValueError.
+    """
+    if not isinstance(payload, dict) or "L2" not in payload or "nodes" not in payload:
         raise ValueError("forest input needs 'L2' and 'nodes' keys")
-    nodes = tuple(
-        ForestNode(str(n["id"]), int(n["d"]), n.get("parent"))
-        for n in payload["nodes"]
-    )
-    return int(payload["L2"]), SingularityForest(nodes)
+    if not isinstance(payload["nodes"], list) or not all(
+            isinstance(n, dict) for n in payload["nodes"]):
+        raise ValueError("'nodes' must be a list of objects")
+    nodes = []
+    for n in payload["nodes"]:
+        node_id = str(_json_field(n.get("id"), (str, int), "node id"))
+        parent = n.get("parent")
+        if parent is not None:
+            parent = str(_json_field(parent, (str, int), f"node {node_id}: parent"))
+        nodes.append(ForestNode(node_id, _json_field(n.get("d"), (int,), f"node {node_id}: d"),
+                                parent))
+    return _json_field(payload["L2"], (int,), "L2"), SingularityForest(tuple(nodes))

@@ -14,8 +14,11 @@ display format, see :meth:`Character.values`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
+
+from paramod.errors import ConsistencyError
 
 Vec4 = tuple[int, int, int, int]
 
@@ -222,20 +225,22 @@ def _from_values(vals) -> Character:
     return Character(2, tuple(0 if v == 1 else 1 for v in vals))
 
 
+@functools.cache
 def character_table(lattice: SymplecticLattice) -> CharacterTable:
     """Labeled table of the 16 order-2 characters (d=2 only).
 
     The chi block is exactly the image of phi2 and the psi block its
     complement; this is checked on construction rather than assumed.
+    Built once per lattice; every call returns the same table.
     """
     if lattice.d != 2:
         raise ValueError("the labeled character table is specific to d=2")
     chi = tuple(_from_values(v) for v in _CHI_VALUES)
     psi = tuple(_from_values(v) for v in _PSI_VALUES)
     if sorted(chi) != im_phi2(lattice):
-        raise AssertionError("chi block does not match the image of phi2")
+        raise ConsistencyError("chi block does not match the image of phi2")
     if len(set(chi) | set(psi)) != 16:
-        raise AssertionError("character table does not exhaust the 16 characters")
+        raise ConsistencyError("character table does not exhaust the 16 characters")
     return CharacterTable(chi, psi)
 
 

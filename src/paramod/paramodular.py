@@ -11,10 +11,12 @@ All arithmetic is over fractions.Fraction; nothing here ever rounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from paramod.errors import ConsistencyError
 from paramod.lattice import Character
 
 Mat4 = tuple[tuple[Fraction, ...], ...]
@@ -125,6 +127,8 @@ def is_member(entries, d: int = 2) -> MembershipCertificate:
     three flags hold.  first_violation pins the first failing entry in
     row-major order (1-based indices) together with a reason string.
     """
+    if d < 1:
+        raise ValueError(f"polarization type d must be >= 1, got {d}")
     m = mat(entries)
     pat = _pattern(d)
     pattern_ok = True
@@ -241,20 +245,22 @@ def gen_J() -> ParamodularMatrix:
     )
 
 
-def special_generators() -> list[tuple[str, ParamodularMatrix]]:
+@functools.cache
+def special_generators() -> tuple[tuple[str, ParamodularMatrix], ...]:
     """The six labeled generator instances driving every orbit computation.
 
     One representative for each parity class of the two triangular families
     (b11 / b12 / b22 odd, d21 / d12 odd) plus the off-diagonal generator.
+    Built and validated once per process; every call returns the same tuple.
     """
-    return [
+    return (
         ("b(1,0,0)", gen_b(1, 0, 0)),
         ("b(0,1,0)", gen_b(0, 1, 0)),
         ("b(0,0,1)", gen_b(0, 0, 1)),
         ("d(1,0,1,1)", gen_d(1, 0, 1, 1)),
         ("d(1,1,0,1)", gen_d(1, 1, 0, 1)),
         ("J", gen_J()),
-    ]
+    )
 
 
 def act(m: ParamodularMatrix, c: Character) -> Character:
@@ -282,7 +288,7 @@ def act_pair(
         raise ValueError(f"square root mismatch: {root.exponents} squared is not {base.exponents}")
     new_base, new_root = act(m, base), act(m, root)
     if new_root.square() != new_base:
-        raise AssertionError("action broke the square relation")
+        raise ConsistencyError("action broke the square relation")
     return new_base, new_root
 
 

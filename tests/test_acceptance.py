@@ -23,16 +23,15 @@ from paramod.doublecover import forest, invariants
 from paramod.lattice import character_table, make_lattice
 from paramod.orbits import (
     characters2_set,
-    char_action,
     group_closure,
     orbits_all,
-    pair_action,
     pairs48_set,
     permutation_of,
     psi_set,
 )
 from paramod.paramodular import (
     act,
+    act_pair,
     gen_J,
     gen_b,
     gen_d,
@@ -55,7 +54,7 @@ def _report(num, text):
 
 
 def test_criterion_01_orbit_decomposition():
-    part = orbits_all(characters2_set(TABLE), GENS, char_action)
+    part = orbits_all(characters2_set(TABLE), GENS, act)
     assert part.sizes() == [1, 3, 12]
     _report(1, "orbit sizes on the 16 order-2 characters are exactly {1, 3, 12}")
 
@@ -85,7 +84,7 @@ def test_criterion_03_transitivity():
 
 
 def test_criterion_04_pair_orbit():
-    part = orbits_all(pairs48_set(TABLE), GENS, pair_action)
+    part = orbits_all(pairs48_set(TABLE), GENS, act_pair)
     assert part.sizes() == [48], (
         f"pair orbit sizes {part.sizes()}: the six standard generators no "
         "longer act transitively on the 48 pairs and the generator family "

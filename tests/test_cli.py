@@ -205,6 +205,40 @@ def test_internal_cross_check_failure_exits_1(monkeypatch, capsys):
     assert "internal cross-check failure" in err
 
 
+_IDENTITY = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["membership", "--matrix", _IDENTITY, "--d", "0"],
+    ["membership", "--matrix", _IDENTITY, "--d", "-3"],
+    ["orbits", "--set", "psi12", "--closure", "--cap", "0"],
+    ["orbits", "--set", "psi12", "--closure", "--cap", "-1"],
+])
+def test_integer_options_below_one_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"L2": 4, "nodes": [{"id": "p", "d": None}]},
+    {"L2": 4, "nodes": [{"id": "p", "d": "4"}]},
+    {"L2": 4, "nodes": [{"id": "p", "d": 4.5}]},
+    {"L2": None, "nodes": [{"id": "p", "d": 4}]},
+    {"L2": 4, "nodes": [{"id": None, "d": 4}]},
+    {"L2": 4, "nodes": [{"id": "p", "d": 4, "parent": ["q"]}]},
+    {"L2": 4, "nodes": ["p"]},
+    [4],
+])
+def test_invariants_malformed_forest_exits_2(tmp_path, capsys, payload):
+    forest = tmp_path / "forest.json"
+    forest.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["invariants", "--forest", str(forest)])
+    assert code == 2
+    assert "invalid input" in err
+
+
 def test_unknown_option_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["orbits", "--bogus"])

@@ -6,19 +6,17 @@ from paramod.lattice import Character, character_table, make_lattice
 from paramod.orbits import (
     LabeledSet,
     Permutation,
-    char_action,
     characters2_set,
     component_report,
     group_closure,
     orbit,
     orbits_all,
-    pair_action,
     pairs48_set,
     permutation_of,
     psi_set,
     standard_orbit_report,
 )
-from paramod.paramodular import act, gen_J, gen_b, gen_d, special_generators
+from paramod.paramodular import act, act_pair, gen_J, gen_b, gen_d, special_generators
 
 LAT = make_lattice(2)
 TABLE = character_table(LAT)
@@ -27,59 +25,61 @@ GENS = [g for _, g in GEN_LIST]
 
 
 def test_orbit_of_trivial():
-    assert orbit(TABLE.chi[0], GENS, char_action) == [TABLE.chi[0]]
+    words, truncated = orbit(TABLE.chi[0], GENS, act)
+    assert words == {TABLE.chi[0]: ()}
+    assert not truncated
 
 
 def test_orbit_of_chi1():
-    got = orbit(TABLE.chi[1], GENS, char_action)
+    got = list(orbit(TABLE.chi[1], GENS, act)[0])
     assert set(got) == set(TABLE.chi[1:])
     assert len(got) == 3
 
 
 def test_orbit_of_psi1():
-    got = orbit(TABLE.psi[0], GENS, char_action)
+    got = orbit(TABLE.psi[0], GENS, act)[0]
     assert set(got) == set(TABLE.psi)
 
 
 def test_orbits_all_sizes():
-    part = orbits_all(characters2_set(TABLE), GENS, char_action)
+    part = orbits_all(characters2_set(TABLE), GENS, act)
     assert part.sizes() == [1, 3, 12]
 
 
 def test_orbits_all_no_generators():
-    part = orbits_all(characters2_set(TABLE), [], char_action)
+    part = orbits_all(characters2_set(TABLE), [], act)
     assert part.sizes() == [1] * 16
 
 
 def test_pairs48_single_orbit():
-    part = orbits_all(pairs48_set(TABLE), GENS, pair_action)
+    part = orbits_all(pairs48_set(TABLE), GENS, act_pair)
     assert part.sizes() == [48]
 
 
 def test_witness_words_replay():
     lset = characters2_set(TABLE)
-    part = orbits_all(lset, GENS, char_action)
+    part = orbits_all(lset, GENS, act)
     for block in part.blocks:
         rep = lset.elements[block[0]]
         for i in block:
             state = rep
             for gi in part.generator_words[i]:
-                state = char_action(state, GENS[gi])
+                state = act(GENS[gi], state)
             assert state == lset.elements[i]
 
 
 def test_blocks_are_stable():
     lset = characters2_set(TABLE)
-    part = orbits_all(lset, GENS, char_action)
+    part = orbits_all(lset, GENS, act)
     for block in part.blocks:
         states = {lset.elements[i] for i in block}
         for s in states:
             for g in GENS:
-                assert char_action(s, g) in states
+                assert act(g, s) in states
 
 
 def test_blocks_partition_indices():
-    part = orbits_all(characters2_set(TABLE), GENS, char_action)
+    part = orbits_all(characters2_set(TABLE), GENS, act)
     flat = sorted(i for block in part.blocks for i in block)
     assert flat == list(range(16))
 
@@ -173,6 +173,16 @@ def test_closure_cap_truncates():
     assert report.transitive  # point orbits do not need the closure
 
 
+def test_closure_cap_below_generator_count():
+    # the enumeration starts from the identity alone, so even a cap smaller
+    # than the number of generators truncates at cap + 1 elements
+    pset = psi_set(TABLE)
+    perms = [permutation_of(m, pset) for _, m in GEN_LIST]
+    report = group_closure(perms, 12, cap=3)
+    assert report.truncated
+    assert report.order == 4
+
+
 def test_closure_degree_mismatch():
     with pytest.raises(ValueError, match="degree"):
         group_closure([Permutation.identity(5)], 12)
@@ -191,7 +201,7 @@ def test_partition_robust_under_extra_members():
         extra.append(gen_b(rng.randrange(6), rng.randrange(6), rng.randrange(6)))
         d12 = rng.randrange(3)
         extra.append(gen_d(1, d12, 0, 1))
-        part = orbits_all(lset, GENS + extra, char_action)
+        part = orbits_all(lset, GENS + extra, act)
         assert part.sizes() == [1, 3, 12]
 
 

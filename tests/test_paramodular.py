@@ -224,6 +224,12 @@ def test_act_pair_first_component():
     assert new_q == act(j, q)
 
 
+def test_special_generators_built_once():
+    assert special_generators() is special_generators()
+    assert [name for name, _ in special_generators()] == [
+        "b(1,0,0)", "b(0,1,0)", "b(0,0,1)", "d(1,0,1,1)", "d(1,1,0,1)", "J"]
+
+
 def test_monodromy_is_integral_for_all_generators():
     for _, g in special_generators():
         for row in g.monodromy:
@@ -277,3 +283,9 @@ def test_principal_case_is_plain_symplectic():
     rows = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
     rows[3][1] = Fraction(1, 2)
     assert not is_member(rows, d=1).pattern_ok
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_polarization_type_below_one_rejected(d):
+    with pytest.raises(ValueError, match=">= 1"):
+        is_member(identity(), d=d)

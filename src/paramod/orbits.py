@@ -227,9 +227,7 @@ def pairs48_set(table: CharacterTable) -> LabeledSet:
     return LabeledSet(tuple(elements), tuple(labels))
 
 
-def standard_orbit_report(
-    set_name: str, cap: int = DEFAULT_CLOSURE_CAP
-) -> dict:
+def standard_orbit_report(set_name: str) -> dict:
     """Orbit partition of one of the named sets under the six generators."""
     table = character_table(make_lattice(2))
     gens = special_generators()

@@ -6,56 +6,25 @@ Z/nZ, rational symplectic matrices, orbit enumeration, Riemann-Roch ledgers
 and branch-curve invariants.  No floating point anywhere.
 """
 
-from paramod.lattice import (
-    Character,
-    CharacterTable,
-    PolarizationType,
-    SymplecticLattice,
-    TorsionPoint,
-    character_table,
-    im_phi2,
-    k_group,
-    make_lattice,
-    pairing,
-    phi2,
-    square_roots,
-)
-from paramod.paramodular import (
-    MembershipCertificate,
-    ParamodularMatrix,
-    act,
-    act_pair,
-    gen_b,
-    gen_d,
-    gen_J,
-    is_member,
-    special_generators,
-)
-from paramod.classifier import SurfaceType, classify, surface_report
+import importlib
 
-__all__ = [
-    "Character",
-    "CharacterTable",
-    "MembershipCertificate",
-    "ParamodularMatrix",
-    "PolarizationType",
-    "SurfaceType",
-    "SymplecticLattice",
-    "TorsionPoint",
-    "act",
-    "act_pair",
-    "character_table",
-    "classify",
-    "gen_J",
-    "gen_b",
-    "gen_d",
-    "im_phi2",
-    "is_member",
-    "k_group",
-    "make_lattice",
-    "pairing",
-    "phi2",
-    "special_generators",
-    "square_roots",
-    "surface_report",
-]
+# Public names by defining module.  They are imported on first access
+# (PEP 562), so importing one submodule, say paramod.doublecover, loads no
+# other part of the package.
+_SOURCES = {
+    "lattice": ("Character", "CharacterTable", "PolarizationType", "SymplecticLattice",
+                "TorsionPoint", "character_table", "im_phi2", "k_group", "make_lattice",
+                "pairing", "phi2", "square_roots"),
+    "paramodular": ("MembershipCertificate", "ParamodularMatrix", "act", "act_pair",
+                    "gen_b", "gen_d", "gen_J", "is_member", "special_generators"),
+    "classifier": ("SurfaceType", "classify", "surface_report"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module 'paramod' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"paramod.{_MODULE_OF[name]}"), name)

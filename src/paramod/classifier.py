@@ -12,8 +12,9 @@ square root sits:
     Q outside the image                 -> no surface (empty linear system)
 
 Everything reported here is recomputed where possible (h^1 of the tangent
-sheaf from the normal-sheaf contribution, moduli dimensions from the base
-dimension plus the pencil parameter, pair counts against cover degrees).
+sheaf from the normal-sheaf contribution, each moduli dimension as that h^1
+because the components are generically smooth, pair counts against cover
+degrees).
 """
 
 from __future__ import annotations
@@ -137,11 +138,6 @@ def h1_tangent(n_beta_trivial: bool) -> int:
     return ABELIAN_MODULI_DIM + (1 if n_beta_trivial else 0)
 
 
-def pencil_parameter_dim(t: SurfaceType) -> int:
-    """Dimension of the branch-pencil choice: 1 when the twist is trivial."""
-    return 1 if t in (SurfaceType.Ia, SurfaceType.Ib) else 0
-
-
 _COVER_DEGREES = {SurfaceType.Ia: 12, SurfaceType.Ib: 3, SurfaceType.II: 48}
 
 
@@ -155,14 +151,9 @@ def surface_report(t: SurfaceType) -> SurfaceReport:
     n_beta_trivial = t in (SurfaceType.Ia, SurfaceType.Ib)
     h0_nb = 1 if n_beta_trivial else 0
     h1 = h1_tangent(n_beta_trivial)
-    dim = ABELIAN_MODULI_DIM + pencil_parameter_dim(t)
-    if dim != h1:
-        raise ConsistencyError(
-            f"type {t.value}: parameter count {dim} disagrees with h1 = {h1}"
-        )
     moduli = ModuliComponent(
         name=t.value,
-        dimension=dim,
+        dimension=h1,
         cover_degree=_COVER_DEGREES[t],
         connected=True,
         irreducible=True,
@@ -257,9 +248,9 @@ def pair_counts() -> dict[SurfaceType, int]:
 def moduli_decomposition() -> dict:
     """The three-component moduli decomposition with all cross-checks applied.
 
-    Dimensions are recomputed as base 3 + pencil parameter and compared with
-    h^1 of the tangent sheaf; pair counts over all valid torsion data are
-    compared with the cover degrees.  Any mismatch raises ConsistencyError.
+    Dimensions are h^1 of the tangent sheaf; pair counts over all valid
+    torsion data are compared with the cover degrees, and a mismatch raises
+    ConsistencyError.
     """
     types = (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II)
     reports = {t: surface_report(t) for t in types}
@@ -269,10 +260,6 @@ def moduli_decomposition() -> dict:
             raise ConsistencyError(
                 f"type {t.value}: {counts.get(t, 0)} torsion data but cover degree "
                 f"{rep.moduli.cover_degree}"
-            )
-        if rep.h1_TS != rep.moduli.dimension:
-            raise ConsistencyError(
-                f"type {t.value}: h1 = {rep.h1_TS} but dimension {rep.moduli.dimension}"
             )
     return {
         "components": [reports[t].moduli.to_json() for t in types],

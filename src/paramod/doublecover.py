@@ -9,6 +9,10 @@ branched over a curve of class with self-intersection L2 gives
 
 and the forest shape decides which points are negligible and whether a
 consecutive-triple-point pair forces a non-minimal resolution.
+
+A forest is validated and indexed once, when it is built, in time linear in
+its node count; lookups after that take constant time, so `invariants` costs
+O(n log n) (the sort of the negligible ids) for n nodes of any depth.
 """
 
 from __future__ import annotations
@@ -28,58 +32,67 @@ class ForestNode:
 
 @dataclass(frozen=True)
 class SingularityForest:
-    """Infinitely-near branch points; parent means 'in the first neighborhood of'."""
+    """Infinitely-near branch points; parent means 'in the first neighborhood of'.
+
+    Construction validates the forest and indexes it once: the id -> node
+    map, the maximal depth and the negligible ids.  The class is frozen, so
+    the index is stored with object.__setattr__.
+    """
 
     nodes: tuple[ForestNode, ...]
 
     def __post_init__(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        by_id = {n.id: n for n in self.nodes}
+        if len(by_id) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        known = set(ids)
         for n in self.nodes:
             if n.d < 2 or n.d % 2 != 0:
                 raise ValueError(f"node {n.id}: multiplicity must be even and >= 2, got {n.d}")
-            if n.parent is not None and n.parent not in known:
+            if n.parent is not None and n.parent not in by_id:
                 raise ValueError(f"node {n.id}: unknown parent {n.parent}")
+        # Walk up from each node, in order, to a root or a node of known depth,
+        # so every node is walked over once.  A node of known depth leads to a
+        # root, so the first walk that meets itself starts at the first node
+        # whose full walk up would, and names the same repeated node.
+        depths: dict[str, int] = {}
         for n in self.nodes:
-            seen = {n.id}
+            if n.id in depths:
+                continue
+            path = [n.id]
+            on_path = {n.id}
             cur = n.parent
-            while cur is not None:
-                if cur in seen:
+            while cur is not None and cur not in depths:
+                if cur in on_path:
                     raise ValueError(f"parent cycle through {cur}")
-                seen.add(cur)
-                cur = self.node(cur).parent
+                path.append(cur)
+                on_path.add(cur)
+                cur = by_id[cur].parent
+            depth = 0 if cur is None else depths[cur] + 1
+            for node_id in reversed(path):
+                depths[node_id] = depth
+                depth += 1
+        # A node is heavy when it or a point infinitely near to it has d > 2:
+        # mark upwards from each d > 2 node, stopping at a node already marked.
+        heavy: set[str] = set()
+        for n in self.nodes:
+            if n.d == 2:
+                continue
+            cur = n.id
+            while cur is not None and cur not in heavy:
+                heavy.add(cur)
+                cur = by_id[cur].parent
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_max_depth", max(depths.values(), default=0))
+        object.__setattr__(self, "_negligible", frozenset(by_id.keys() - heavy))
 
     def node(self, node_id: str) -> ForestNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"unknown node id {node_id!r}")
-
-    def children(self, node_id: str) -> list[ForestNode]:
-        return [n for n in self.nodes if n.parent == node_id]
-
-    def descendants(self, node_id: str) -> list[ForestNode]:
-        out = []
-        stack = [node_id]
-        while stack:
-            cur = stack.pop()
-            for child in self.children(cur):
-                out.append(child)
-                stack.append(child.id)
-        return out
-
-    def depth(self, node_id: str) -> int:
-        d = 0
-        cur = self.node(node_id).parent
-        while cur is not None:
-            d += 1
-            cur = self.node(cur).parent
-        return d
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise KeyError(f"unknown node id {node_id!r}") from None
 
     def max_depth(self) -> int:
-        return max((self.depth(n.id) for n in self.nodes), default=0)
+        return self._max_depth
 
 
 def forest(node_tuples: list[tuple]) -> SingularityForest:
@@ -107,10 +120,8 @@ class CoverInvariants:
 
 def is_negligible(f: SingularityForest, node_id: str) -> bool:
     """d = 2 at the point and d <= 2 at every point infinitely near to it."""
-    n = f.node(node_id)
-    if n.d != 2:
-        return False
-    return all(c.d <= 2 for c in f.descendants(node_id))
+    f.node(node_id)  # KeyError for an unknown id
+    return node_id in f._negligible
 
 
 def detect_33_pairs(f: SingularityForest) -> list[tuple[str, str]]:
@@ -150,7 +161,7 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
     chi = (L2 - drop_chi) // 2
     k2 = 2 * L2 - 2 * sum((m - 1) ** 2 for m in ms)
 
-    negligible = tuple(sorted(n.id for n in f.nodes if is_negligible(f, n.id)))
+    negligible = tuple(sorted(f._negligible))
     pairs = detect_33_pairs(f)
 
     notes = []

@@ -57,10 +57,16 @@ class Permutation:
         return len(self.images)
 
     def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
+        """self after other: (self.compose(other))(i) = self(other(i)).
+
+        A product of two bijections is a bijection, so the result is built
+        without the check in __post_init__.
+        """
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.degree)))
+        out = object.__new__(Permutation)
+        object.__setattr__(out, "images", tuple(map(self.images.__getitem__, other.images)))
+        return out
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles of length >= 2, each starting at its least point."""

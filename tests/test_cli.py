@@ -121,6 +121,22 @@ def test_invariants(tmp_path, capsys):
     assert (payload["chi"], payload["K2_resolved"]) == (1, 6)
 
 
+def test_invariants_3000_node_chain(tmp_path, capsys):
+    # one chain, every tenth point a quadruple point; the ids sort unlike ranks
+    nodes = [{"id": str(k), "d": 4 if k % 10 == 0 else 2,
+              "parent": str(k - 1) if k else None} for k in range(3000)]
+    payload = {"L2": 6000, "nodes": nodes[::-1]}
+    forest = tmp_path / "chain.json"
+    forest.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["invariants", "--forest", str(forest)])
+    assert code == 0
+    ms = [n["d"] // 2 for n in nodes]
+    chi = (payload["L2"] - sum(m * (m - 1) for m in ms)) // 2
+    result = json.loads(out)
+    assert (result["chi"], result["K2_resolved"]) == (chi, 2 * 6000 - 2 * 300)
+    assert result["negligible_ids"] == sorted(str(k) for k in range(2991, 3000))
+
+
 def test_invariants_missing_file(capsys):
     code, _, err = run_cli(capsys, ["invariants", "--forest", "/nonexistent.json"])
     assert code == 2

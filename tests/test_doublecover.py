@@ -1,7 +1,14 @@
+import random
+import subprocess
+import sys
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paramod.doublecover import (
     CoverInvariants,
+    ForestNode,
     SingularityForest,
     branch_scenarios,
     detect_33_pairs,
@@ -173,6 +180,178 @@ def test_cover_invariants_json():
 
 
 def test_parent_cycle_rejected():
-    from paramod.doublecover import ForestNode
     with pytest.raises(ValueError, match="cycle"):
         SingularityForest((ForestNode("a", 2, "b"), ForestNode("b", 2, "a")))
+
+
+# -- brute-force references -------------------------------------------------------
+
+
+def _ancestors(parent: dict, node_id: str) -> list[str]:
+    out = []
+    cur = parent[node_id]
+    while cur is not None:
+        out.append(cur)
+        cur = parent[cur]
+    return out
+
+
+def _reference(l2: int, nodes: list[tuple]) -> dict:
+    """chi, K^2, negligible ids, pairs and depth straight from the definitions."""
+    d = {i: di for i, di, _ in nodes}
+    parent = {i: p for i, _, p in nodes}
+    ancestors = {i: _ancestors(parent, i) for i in d}
+    ms = [di // 2 for di in d.values()]
+    return {
+        "chi": (l2 - sum(m * (m - 1) for m in ms)) // 2,
+        "K2": 2 * l2 - 2 * sum((m - 1) ** 2 for m in ms),
+        # d = 2 at the point and d <= 2 at every point infinitely near to it
+        "negligible": tuple(sorted(
+            i for i in d
+            if d[i] == 2 and all(d[j] <= 2 for j in d if i in ancestors[j]))),
+        # (parent, child) with multiplicities (2k, 2k+2), k >= 1
+        "pairs": sorted((p, i) for i, p in parent.items()
+                        if p is not None and d[p] >= 2 and d[i] == d[p] + 2),
+        "max_depth": max((len(a) for a in ancestors.values()), default=0),
+    }
+
+
+def _first_cycle_node(nodes: list[tuple]):
+    """The node a full walk up from each node, in order, names first; None if acyclic."""
+    parent = {i: p for i, _, p in nodes}
+    for i, _, _ in nodes:
+        seen = {i}
+        cur = parent[i]
+        while cur is not None:
+            if cur in seen:
+                return cur
+            seen.add(cur)
+            cur = parent[cur]
+    return None
+
+
+@st.composite
+def acyclic_forests(draw, max_nodes=12):
+    """(id, d, parent) tuples in shuffled order; ids sort unlike their ranks."""
+    n = draw(st.integers(0, max_nodes))
+    nodes = []
+    for k in range(n):
+        parent = draw(st.none() | st.integers(0, k - 1)) if k else None
+        nodes.append((str(k), draw(st.sampled_from((2, 4, 6, 8))),
+                      None if parent is None else str(parent)))
+    return [nodes[k] for k in draw(st.permutations(range(n)))]
+
+
+@st.composite
+def parent_maps(draw, max_nodes=12):
+    """(id, 2, parent) tuples whose parents are any ids, self included."""
+    n = draw(st.integers(1, max_nodes))
+    return [(str(k), 2, draw(st.none() | st.integers(0, n - 1).map(str)))
+            for k in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(acyclic_forests(), st.integers(1, 40))
+def test_invariants_match_brute_force(nodes, half_l2):
+    l2 = 2 * half_l2
+    f = forest(nodes)
+    ref = _reference(l2, nodes)
+    inv = invariants(l2, f)
+    assert (inv.chi, inv.K2_resolved) == (ref["chi"], ref["K2"])
+    assert inv.negligible_ids == ref["negligible"]
+    assert tuple(sorted(i for i, _, _ in nodes if is_negligible(f, i))) == ref["negligible"]
+    assert detect_33_pairs(f) == ref["pairs"]
+    assert inv.has_33_pair == bool(ref["pairs"])
+    assert ("deeper than one level" in inv.minimality_note) == (ref["max_depth"] > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parent_maps())
+def test_parent_cycle_names_first_repeated_node(nodes):
+    expected = _first_cycle_node(nodes)
+    assume(expected is not None)
+    with pytest.raises(ValueError) as err:
+        SingularityForest(tuple(ForestNode(*t) for t in nodes))
+    assert str(err.value) == f"parent cycle through {expected}"
+
+
+def test_parent_cycle_below_a_tail_names_the_entry():
+    # x -> a -> b -> a: the walk from x first repeats at a
+    nodes = [("x", 2, "a"), ("b", 2, "a"), ("a", 2, "b")]
+    with pytest.raises(ValueError, match="^parent cycle through a$"):
+        forest(nodes)
+
+
+def test_node_unknown_id_message():
+    with pytest.raises(KeyError, match="unknown node id 'zz'"):
+        forest([("x", 2)]).node("zz")
+
+
+# -- deep input: 5000 nodes, no recursion, exact results --------------------------
+
+
+def _shuffled_payload(l2: int, nodes: list[dict], seed: int) -> dict:
+    random.Random(seed).shuffle(nodes)
+    return {"L2": l2, "nodes": nodes}
+
+
+def test_deep_chain_5000():
+    # c0 <- c1 <- ... <- c4999; d = 4 where k % 7 == 3, else 2
+    n = 5000
+    heavy = [k for k in range(n) if k % 7 == 3]
+    nodes = [{"id": f"c{k}", "d": 4 if k % 7 == 3 else 2,
+              "parent": f"c{k - 1}" if k else None} for k in range(n)]
+    l2, f = forest_from_json(_shuffled_payload(10000, nodes, 5))
+    inv = invariants(l2, f)
+    assert len(heavy) == 714
+    assert (inv.chi, inv.K2_resolved) == (4286, 18572)
+    assert inv.negligible_ids == ("c4995", "c4996", "c4997", "c4998", "c4999")
+    assert detect_33_pairs(f) == sorted((f"c{k - 1}", f"c{k}") for k in heavy)
+    assert f.max_depth() == n - 1
+    assert "deeper than one level" in inv.minimality_note
+
+
+def test_bushy_forest_5000():
+    # 500 roots (d = 4 at odd i), three children each, two grandchildren per child;
+    # child 0 of an odd root has d = 6, child 1 of an even root has d = 4
+    nodes = []
+    for i in range(500):
+        nodes.append({"id": f"r{i}", "d": 4 if i % 2 else 2})
+        for j in range(3):
+            d = 6 if (i % 2, j) == (1, 0) else 4 if (i % 2, j) == (0, 1) else 2
+            nodes.append({"id": f"m{i}.{j}", "d": d, "parent": f"r{i}"})
+            for k in range(2):
+                nodes.append({"id": f"l{i}.{j}.{k}", "d": 2, "parent": f"m{i}.{j}"})
+    heavy_child = {i: i % 2 == 0 for i in range(500)}  # True: child 1, False: child 0
+    heavy = {f"r{i}" for i in range(500)} | {
+        f"m{i}.{1 if heavy_child[i] else 0}" for i in range(500)}
+    l2, f = forest_from_json(_shuffled_payload(10000, nodes, 6))
+    inv = invariants(l2, f)
+    assert len(f.nodes) == 5000
+    assert (inv.chi, inv.K2_resolved) == (3750, 17000)
+    assert inv.negligible_ids == tuple(sorted(n["id"] for n in nodes if n["id"] not in heavy))
+    assert len(inv.negligible_ids) == 4000
+    assert detect_33_pairs(f) == sorted(
+        (f"r{i}", f"m{i}.{1 if heavy_child[i] else 0}") for i in range(500))
+    assert f.max_depth() == 2
+
+
+# -- package import ---------------------------------------------------------------
+
+
+def test_importing_doublecover_loads_no_other_module():
+    code = ("import sys, paramod.doublecover; "
+            "print(*sorted(m for m in sys.modules if m.startswith('paramod')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["paramod", "paramod.doublecover", "paramod.errors"]
+
+
+def test_package_names_resolve_to_their_modules():
+    import paramod
+    from paramod import classifier, lattice, paramodular
+    for name in paramod.__all__:
+        owner = next(m for m in (lattice, paramodular, classifier) if hasattr(m, name))
+        assert getattr(paramod, name) is getattr(owner, name)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        paramod.nope

@@ -118,6 +118,20 @@ def test_permutation_composition_compatibility():
         assert left == right
 
 
+def test_compose_equals_validated_permutation():
+    with pytest.raises(ValueError, match="bijection"):
+        Permutation((0, 0))
+    perms = [permutation_of(m, psi_set(TABLE)) for _, m in GEN_LIST]
+    rng = random.Random(5)
+    for _ in range(20):
+        p, q = rng.choice(perms), rng.choice(perms)
+        composed = p.compose(q)
+        validated = Permutation(tuple(p.images[q.images[i]] for i in range(12)))
+        assert composed == validated
+        assert hash(composed) == hash(validated)
+        assert not composed < validated and not validated < composed
+
+
 def test_cycle_form_reconstructs_images():
     pset = psi_set(TABLE)
     for _, m in GEN_LIST:

@@ -27,6 +27,7 @@ from paramod.paramodular import (
     act,
     is_member,
     member,
+    monodromy_matrix,
     parse_matrix,
     special_generators,
 )
@@ -135,14 +136,11 @@ def _resolve_generator(name: str):
 def _cmd_orbits(args) -> dict:
     report = orbits.standard_orbit_report(args.set)
     if args.closure:
-        pset = orbits.psi_set(character_table(make_lattice(2)))
-        generators = special_generators()
-        perms = [orbits.permutation_of(g, pset) for _, g in generators]
-        closure = orbits.group_closure(perms, 12, cap=args.cap)
-        report["closure"] = closure.to_json()
+        pset, perms, _ = orbits.standard_set("psi12")
+        report["closure"] = orbits.group_closure(perms, 12, cap=args.cap).to_json()
         report["permutations"] = {
             name: perm.cycle_string(pset.labels)
-            for (name, _), perm in zip(generators, perms)
+            for name, perm in zip(report["generators"], perms)
         }
     return report
 
@@ -166,7 +164,8 @@ def _cmd_membership(args) -> dict:
     payload = cert.to_json()
     payload["d"] = args.d
     if cert.ok:
-        payload["monodromy"] = [list(r) for r in member(entries, args.d).monodromy]
+        payload["monodromy"] = [[int(x) for x in row]
+                                for row in monodromy_matrix(entries, args.d)]
     return payload
 
 

@@ -17,31 +17,26 @@ O(n log n) (the sort of the negligible ids) for n nodes of any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from paramod.errors import ConsistencyError
 
 
-@dataclass(frozen=True)
-class ForestNode:
+class ForestNode(NamedTuple):
     id: str
     d: int
     parent: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class SingularityForest:
     """Infinitely-near branch points; parent means 'in the first neighborhood of'.
 
     Construction validates the forest and indexes it once: the id -> node
-    map, the maximal depth and the negligible ids.  The class is frozen, so
-    the index is stored with object.__setattr__.
+    map, the maximal depth and the negligible ids.
     """
 
-    nodes: tuple[ForestNode, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, nodes: tuple[ForestNode, ...]) -> None:
+        self.nodes = nodes
         by_id = {n.id: n for n in self.nodes}
         if len(by_id) != len(self.nodes):
             raise ValueError("duplicate node ids")
@@ -81,9 +76,9 @@ class SingularityForest:
             while cur is not None and cur not in heavy:
                 heavy.add(cur)
                 cur = by_id[cur].parent
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_max_depth", max(depths.values(), default=0))
-        object.__setattr__(self, "_negligible", frozenset(by_id.keys() - heavy))
+        self._by_id = by_id
+        self._max_depth = max(depths.values(), default=0)
+        self._negligible = frozenset(by_id.keys() - heavy)
 
     def node(self, node_id: str) -> ForestNode:
         try:
@@ -100,8 +95,7 @@ def forest(node_tuples: list[tuple]) -> SingularityForest:
     return SingularityForest(tuple(ForestNode(*t) for t in node_tuples))
 
 
-@dataclass(frozen=True)
-class CoverInvariants:
+class CoverInvariants(NamedTuple):
     chi: int
     K2_resolved: int
     negligible_ids: tuple[str, ...]

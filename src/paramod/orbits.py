@@ -12,7 +12,9 @@ words and serialized reports are byte-stable across runs.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -137,44 +139,42 @@ def orbit(seed, generators: Sequence, action: Callable, cap: float = math.inf):
     return words, False
 
 
-def _partition(degree: int, generators: Sequence, action: Callable) -> OrbitPartition:
-    """Orbits of the points 0..degree-1, each block led by its least point."""
+def _partition(degree: int, tables: Sequence[Sequence[int]]) -> OrbitPartition:
+    """Orbits of 0..degree-1 under image tables, each block led by its least point."""
     words: list = [None] * degree
     blocks = []
     for start in range(degree):
         if words[start] is None:
-            block, _ = orbit(start, generators, action)
+            block, _ = orbit(start, tables, operator.getitem)
             blocks.append(tuple(block))
             for i, word in block.items():
                 words[i] = word
     return OrbitPartition(tuple(blocks), tuple(words))
 
 
+def _tables(lset: LabeledSet, generators: Sequence, action: Callable) -> list[tuple[int, ...]]:
+    """Index of action(gen, s) for each s in the set, per generator; errors name any escapee."""
+    index = {s: i for i, s in enumerate(lset.elements)}
+    tables = []
+    for g in generators:
+        images = []
+        for s, label in zip(lset.elements, lset.labels):
+            t = action(g, s)
+            if t not in index:
+                raise ValueError(f"set is not stable: {label} is sent to {t!r}")
+            images.append(index[t])
+        tables.append(tuple(images))
+    return tables
+
+
 def orbits_all(lset: LabeledSet, generators: Sequence, action: Callable) -> OrbitPartition:
     """Partition the labeled set into orbits, recording witness words."""
-    index = {s: i for i, s in enumerate(lset.elements)}
-
-    def step(gi: int, i: int) -> int:
-        t = action(generators[gi], lset.elements[i])
-        if t not in index:
-            raise ValueError(
-                f"action leaves the set: generator {gi} sends {lset.labels[i]} to {t!r}"
-            )
-        return index[t]
-
-    return _partition(len(lset.elements), range(len(generators)), step)
+    return _partition(len(lset.elements), _tables(lset, generators, action))
 
 
 def permutation_of(m: ParamodularMatrix, lset: LabeledSet) -> Permutation:
     """Permutation m induces on a stable set of characters; errors name any escapee."""
-    index = {s: i for i, s in enumerate(lset.elements)}
-    images = []
-    for i, s in enumerate(lset.elements):
-        t = act(m, s)
-        if t not in index:
-            raise ValueError(f"set is not stable: {lset.labels[i]} is sent to {t!r}")
-        images.append(index[t])
-    return Permutation(tuple(images))
+    return Permutation(_tables(lset, [m], act)[0])
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def group_closure(
         if p.degree != degree:
             raise ValueError(f"permutation of degree {p.degree}, expected {degree}")
 
-    sizes = _partition(degree, perms, lambda p, i: p.images[i]).sizes()
+    sizes = _partition(degree, [p.images for p in perms]).sizes()
     elements, truncated = orbit(Permutation.identity(degree), perms, Permutation.compose, cap)
     return ClosureReport(len(elements), truncated, sizes == [degree], tuple(sizes))
 
@@ -233,20 +233,29 @@ def pairs48_set(table: CharacterTable) -> LabeledSet:
     return LabeledSet(tuple(elements), tuple(labels))
 
 
-def standard_orbit_report(set_name: str) -> dict:
-    """Orbit partition of one of the named sets under the six generators."""
+@functools.cache
+def standard_set(name: str) -> tuple[LabeledSet, tuple[Permutation, ...], OrbitPartition]:
+    """A named d=2 set, the six generators' permutations of it and its orbit partition.
+
+    Built once per process; every call returns the same immutable objects.
+    """
     table = character_table(make_lattice(2))
-    gens = special_generators()
-    matrices = [g for _, g in gens]
-    if set_name == "characters2":
+    if name == "characters2":
         lset, action = characters2_set(table), act
-    elif set_name == "psi12":
+    elif name == "psi12":
         lset, action = psi_set(table), act
-    elif set_name == "pairs48":
+    elif name == "pairs48":
         lset, action = pairs48_set(table), act_pair
     else:
-        raise ValueError(f"unknown set {set_name!r}; choose characters2, psi12 or pairs48")
-    part = orbits_all(lset, matrices, action)
+        raise ValueError(f"unknown set {name!r}; choose characters2, psi12 or pairs48")
+    tables = _tables(lset, [g for _, g in special_generators()], action)
+    return lset, tuple(map(Permutation, tables)), _partition(len(lset.elements), tables)
+
+
+def standard_orbit_report(set_name: str) -> dict:
+    """Orbit partition of one of the named sets under the six generators."""
+    lset, _, part = standard_set(set_name)
+    gens = special_generators()
     orbits_json = [
         {
             "size": len(block),
@@ -278,12 +287,9 @@ def component_report() -> dict:
     ConsistencyError.  The 12- and 3-orbits being disjoint in 16 characters
     leaves the trivial character alone, so the sizes are exactly 1, 3, 12.
     """
-    table = character_table(make_lattice(2))
-    matrices = [g for _, g in special_generators()]
-    lset16 = characters2_set(table)
-    part16 = orbits_all(lset16, matrices, act)
+    lset16, _, part16 = standard_set("characters2")
     orbit_size = {lset16.labels[i]: len(block) for block in part16.blocks for i in block}
-    part48 = orbits_all(pairs48_set(table), matrices, act_pair)
+    part48 = standard_set("pairs48")[2]
 
     def component(name, marking, cover_degree, orbit_size_check, **extra) -> dict:
         if orbit_size_check != cover_degree:

@@ -61,10 +61,6 @@ def mat_inv(a: Mat4) -> Mat4:
     return tuple(tuple(row[4:]) for row in aug)
 
 
-def _scale_matrix(d: int) -> Mat4:
-    return mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, d]])
-
-
 def _form_matrix(d: int) -> Mat4:
     return mat([[0, 0, 1, 0], [0, 0, 0, d], [-1, 0, 0, 0], [0, -d, 0, 0]])
 
@@ -114,10 +110,9 @@ class MembershipCertificate:
 
 
 def monodromy_matrix(entries: Mat4, d: int) -> Mat4:
-    """N = S^-1 M^T S with S = diag(1, 1, 1, d)."""
-    s = _scale_matrix(d)
-    s_inv = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(1, d)]])
-    return mat_mul(mat_mul(s_inv, transpose(entries)), s)
+    """N = S^-1 M^T S with S = diag(s) = diag(1, 1, 1, d): N[i][j] = M[j][i] * s_j / s_i."""
+    s = (1, 1, 1, d)
+    return tuple(tuple(entries[j][i] * s[j] / s[i] for j in range(4)) for i in range(4))
 
 
 def is_member(entries, d: int = 2) -> MembershipCertificate:
@@ -127,6 +122,11 @@ def is_member(entries, d: int = 2) -> MembershipCertificate:
     three flags hold.  first_violation pins the first failing entry in
     row-major order (1-based indices) together with a reason string.
     """
+    return _certify(entries, d)[0]
+
+
+def _certify(entries, d: int) -> tuple[MembershipCertificate, Mat4, Mat4]:
+    """is_member's certificate, with the matrix M and its monodromy N."""
     if d < 1:
         raise ValueError(f"polarization type d must be >= 1, got {d}")
     m = mat(entries)
@@ -168,7 +168,8 @@ def is_member(entries, d: int = 2) -> MembershipCertificate:
             f"form not preserved: (N^T E N)[{bad[0] + 1}][{bad[1] + 1}] = "
             f"{preserved[bad[0]][bad[1]]}, want {e[bad[0]][bad[1]]}",
         )
-    return MembershipCertificate(pattern_ok, n_integral, n_integral and form_ok, violation)
+    cert = MembershipCertificate(pattern_ok, n_integral, n_integral and form_ok, violation)
+    return cert, m, n
 
 
 @dataclass(frozen=True)
@@ -197,13 +198,10 @@ class ParamodularMatrix:
 
 def member(entries, d: int = 2) -> ParamodularMatrix:
     """Validate entries and wrap them, or raise with the violation detail."""
-    m = mat(entries)
-    cert = is_member(m, d)
+    cert, m, n = _certify(entries, d)
     if not cert.ok:
         raise ValueError(f"not a group element: {cert.to_json()['first_violation']}")
-    n = monodromy_matrix(m, d)
-    n_int = tuple(tuple(int(x) for x in row) for row in n)
-    return ParamodularMatrix(m, d, n_int)
+    return ParamodularMatrix(m, d, tuple(tuple(int(x) for x in row) for row in n))
 
 
 def gen_b(b11: int, b12: int, b22: int) -> ParamodularMatrix:

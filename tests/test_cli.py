@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from paramod import orbits
 from paramod.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, argv):
@@ -281,6 +285,22 @@ GOLDEN_ARGV = [fmt + argv for argv in GOLDEN_COMMANDS for fmt in ([], ["--format
 @pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=[" ".join(a) for a in GOLDEN_ARGV])
 def test_byte_determinism(argv, matches_stored_stdout):
     matches_stored_stdout(argv)
+
+
+def test_stored_stdout_twice_in_one_process(monkeypatch, capsys):
+    # the orbit data is built once per process: run every stored command from
+    # a cold cache, then again in reverse order, so no call leaks into another
+    with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
+        stored = json.load(fh)
+    monkeypatch.chdir(ROOT)
+    orbits.standard_set.cache_clear()
+    for key in list(stored) + list(stored)[::-1]:
+        assert main(key.split(" ")) == 0, key
+        assert capsys.readouterr().out == stored[key], key
+    # no stored command runs psi12 without --closure; the --closure runs above
+    # must not have left their closure in its report
+    assert main(["orbits", "--set", "psi12"]) == 0
+    assert "closure" not in json.loads(capsys.readouterr().out)
 
 
 def test_help_mentions_fronted_module():

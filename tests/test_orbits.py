@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from paramod import cli, orbits, paramodular
 from paramod.lattice import Character, character_table, make_lattice
 from paramod.orbits import (
     LabeledSet,
@@ -15,6 +17,7 @@ from paramod.orbits import (
     permutation_of,
     psi_set,
     standard_orbit_report,
+    standard_set,
 )
 from paramod.paramodular import act, act_pair, gen_J, gen_b, gen_d, special_generators
 
@@ -244,6 +247,45 @@ def test_component_report_degrees():
     pair_comp = report["marked_root_pair_space"]["components"][0]
     assert pair_comp["cover_degree"] == 48
     assert pair_comp["factorization"] == "3 * 16"
+
+
+def test_standard_set_built_once():
+    assert standard_set("pairs48") is standard_set("pairs48")
+    lset, perms, part = standard_set("characters2")
+    assert len(lset.elements) == 16 and len(perms) == 6
+    assert part == orbits_all(lset, GENS, act)
+
+
+@given(st.sampled_from(["characters2", "psi12", "pairs48"]), st.data())
+def test_tables_replay_the_action(name, data):
+    lset, perms, _ = standard_set(name)
+    action = act_pair if name == "pairs48" else act
+    i = data.draw(st.integers(0, len(lset.elements) - 1))
+    state = lset.elements[i]
+    for gi in data.draw(st.lists(st.integers(0, len(GENS) - 1), max_size=12)):
+        i = perms[gi].images[i]
+        state = action(GENS[gi], state)
+        assert lset.elements[i] == state
+
+
+def test_second_moduli_call_applies_no_generator(monkeypatch):
+    calls = {"act": 0, "act_pair": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (paramodular, orbits):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    orbits.standard_set.cache_clear()
+    assert cli.main(["moduli"]) == 0
+    assert calls["act"] > 0 and calls["act_pair"] > 0
+    before = dict(calls)
+    assert cli.main(["moduli"]) == 0
+    assert calls == before
 
 
 def test_labeled_set_rejects_duplicates():

@@ -12,6 +12,7 @@ failure (which indicates a bug, never a bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -50,7 +51,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="paramod",
         description="Exact monodromy orbits, membership certificates, "

@@ -2,12 +2,14 @@
 
 One breadth-first engine, :func:`orbit`, serves every orbit computation here:
 the orbit partition of a labeled set, the point orbits of a permutation
-group and the enumeration of the group itself (the orbit of the identity).
-States are opaque orderable values, generators are opaque, and the action
-takes the generator first, ``action(gen, state)``: the argument order of
-``act``, ``act_pair`` and ``Permutation.compose``.  Determinism is part of
-the contract: each BFS layer is sorted by state, so orbit listings, witness
-words and serialized reports are byte-stable across runs.
+group and the enumeration of the group itself: the orbit of the identity
+image tuple under right multiplication, each generator applied as one
+``operator.itemgetter``.  States are opaque orderable values, generators are
+opaque, and the action takes the generator first, ``action(gen, state)``:
+the argument order of ``act``, ``act_pair`` and ``Permutation.compose``.
+Determinism is part of the contract: each BFS layer is sorted by state, so
+orbit listings, witness words and serialized reports are byte-stable across
+runs.
 """
 
 from __future__ import annotations
@@ -193,20 +195,31 @@ class ClosureReport:
         }
 
 
+def _apply(step: Callable, state):
+    return step(state)
+
+
 def group_closure(
     perms: Sequence[Permutation], degree: int, cap: int = DEFAULT_CLOSURE_CAP
 ) -> ClosureReport:
     """Enumerate the generated permutation group, up to a safety cap.
 
-    Transitivity and point-orbit sizes only need the generators, so they are
-    reported even when the closure itself is truncated.
+    Elements are image tuples.  Each generator g is one itemgetter that maps
+    s to s∘g in a single call, so the search walks the right Cayley graph from
+    the identity; it reaches the same group, and a truncated run holds exactly
+    cap + 1 elements as with any orbit.  Transitivity and point-orbit sizes
+    only need the generators, so they are reported even when the closure
+    itself is truncated.
     """
     for p in perms:
         if p.degree != degree:
             raise ValueError(f"permutation of degree {p.degree}, expected {degree}")
 
     sizes = _partition(degree, [p.images for p in perms]).sizes()
-    elements, truncated = orbit(Permutation.identity(degree), perms, Permutation.compose, cap)
+    # itemgetter returns a tuple only for two or more indices; on fewer
+    # points every permutation is the identity and the group is trivial
+    steps = [operator.itemgetter(*p.images) for p in perms] if degree > 1 else []
+    elements, truncated = orbit(tuple(range(degree)), steps, _apply, cap)
     return ClosureReport(len(elements), truncated, sizes == [degree], tuple(sizes))
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from paramod import orbits
+from paramod import cli, orbits
 from paramod.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -212,7 +212,6 @@ def test_unknown_generator_exits_2(capsys):
 
 
 def test_internal_cross_check_failure_exits_1(monkeypatch, capsys):
-    from paramod import cli
     from paramod.errors import ConsistencyError
 
     def boom(_args):
@@ -301,6 +300,25 @@ def test_stored_stdout_twice_in_one_process(monkeypatch, capsys):
     # must not have left their closure in its report
     assert main(["orbits", "--set", "psi12"]) == 0
     assert "closure" not in json.loads(capsys.readouterr().out)
+
+
+def test_cached_parser_keeps_no_state(monkeypatch, capsys):
+    # the parser is built once per process: bad input that makes argparse
+    # exit, at the top level and inside a subcommand, must not change how
+    # later commands parse
+    with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
+        stored = json.load(fh)
+    cli._build_parser.cache_clear()
+    for bad in (["frobnicate"], ["orbits", "--set", "psi12", "--closure", "--cap", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    monkeypatch.chdir(ROOT)
+    for key in stored:
+        assert main(key.split(" ")) == 0, key
+        assert capsys.readouterr().out == stored[key], key
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_help_mentions_fronted_module():

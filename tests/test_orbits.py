@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paramod import cli, orbits, paramodular
 from paramod.lattice import Character, character_table, make_lattice
@@ -203,6 +203,43 @@ def test_closure_cap_below_generator_count():
 def test_closure_degree_mismatch():
     with pytest.raises(ValueError, match="degree"):
         group_closure([Permutation.identity(5)], 12)
+
+
+@pytest.mark.parametrize("degree,sizes", [(0, ()), (1, (1,))])
+@pytest.mark.parametrize("with_identity", [False, True])
+def test_closure_below_two_points(degree, sizes, with_identity):
+    perms = [Permutation.identity(degree)] if with_identity else []
+    for cap in (1, 3, 10**6):
+        report = group_closure(perms, degree, cap=cap)
+        assert (report.order, report.truncated, report.orbit_sizes) == (1, False, sizes)
+        assert report.transitive == (degree == 1)
+
+
+def _reference_group(perms, degree):
+    """All elements of the generated group, by left products g∘s with compose."""
+    elements = {Permutation.identity(degree)}
+    frontier = list(elements)
+    while frontier:
+        new = {g.compose(s) for s in frontier for g in perms} - elements
+        elements |= new
+        frontier = list(new)
+    return elements
+
+
+@settings(deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.permutations(range(n)), max_size=4))),
+       st.integers(1, 6000))
+def test_closure_matches_left_product_reference(degree_and_images, cap):
+    degree, images = degree_and_images
+    perms = [Permutation(tuple(p)) for p in images]
+    group = _reference_group(perms, degree)
+    report = group_closure(perms, degree, cap=cap)
+    assert report.order == min(len(group), cap + 1)
+    assert report.truncated == (len(group) > cap)
+    point_orbits = {frozenset(g.images[i] for g in group) for i in range(degree)}
+    assert report.orbit_sizes == tuple(sorted(map(len, point_orbits)))
+    assert report.transitive == (len(point_orbits) == 1)
 
 
 def test_partition_robust_under_extra_members():

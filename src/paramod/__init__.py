@@ -12,9 +12,9 @@ import importlib
 # (PEP 562), so importing one submodule, say paramod.doublecover, loads no
 # other part of the package.
 _SOURCES = {
-    "lattice": ("Character", "CharacterTable", "PolarizationType", "SymplecticLattice",
-                "TorsionPoint", "character_table", "im_phi2", "k_group", "make_lattice",
-                "pairing", "phi2", "square_roots"),
+    "lattice": ("Character", "CharacterTable", "SymplecticLattice", "TorsionPoint",
+                "character_table", "im_phi2", "k_group", "make_lattice", "pairing", "phi2",
+                "square_roots"),
     "paramodular": ("MembershipCertificate", "ParamodularMatrix", "act", "act_pair",
                     "gen_b", "gen_d", "gen_J", "is_member", "special_generators"),
     "classifier": ("SurfaceType", "classify", "surface_report"),

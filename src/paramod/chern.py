@@ -13,29 +13,31 @@ the dimension ledger and verified against chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from paramod.errors import ConsistencyError
 
 L_SELF_INTERSECTION = 4
 
 
-@dataclass(frozen=True)
-class ChernDatum:
-    """(rank, c1 = a*L, c2) of a sheaf on the abelian surface."""
-
+class _ChernDatumFields(NamedTuple):
     rank: int
     c1: int
     c2: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+
+class ChernDatum(_ChernDatumFields):
+    """(rank, c1 = a*L, c2) of a sheaf on the abelian surface."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, c1: int, c2: int) -> "ChernDatum":
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        return super().__new__(cls, rank, c1, c2)
 
 
-@dataclass(frozen=True)
-class BlowupLineBundle:
+class BlowupLineBundle(NamedTuple):
     """Class a*L + b*E on the blow-up of the abelian surface at one point."""
 
     a: int
@@ -140,8 +142,7 @@ def curve_rr(g: int, deg: int) -> int:
     return deg + 1 - g
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     """One cohomology record: stated h-vector plus the recomputed chi.
 
     kind is 'surface' (h0, h1, h2) or 'curve' (h0, h1); entries that the

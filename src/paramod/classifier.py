@@ -20,7 +20,7 @@ degrees).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from paramod.errors import ConsistencyError
 from paramod.lattice import (
@@ -43,8 +43,7 @@ class SurfaceType(enum.Enum):
     Invalid = "invalid"
 
 
-@dataclass(frozen=True)
-class ModuliComponent:
+class ModuliComponent(NamedTuple):
     name: str
     dimension: int
     cover_degree: int
@@ -52,19 +51,8 @@ class ModuliComponent:
     irreducible: bool
     generically_smooth: bool
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "dimension": self.dimension,
-            "cover_degree": self.cover_degree,
-            "connected": self.connected,
-            "irreducible": self.irreducible,
-            "generically_smooth": self.generically_smooth,
-        }
 
-
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     type: SurfaceType
     pg: int
     q: int
@@ -83,24 +71,7 @@ class SurfaceReport:
     K_ample: str
 
     def to_json(self) -> dict:
-        return {
-            "type": self.type.value,
-            "pg": self.pg,
-            "q": self.q,
-            "K2": self.K2,
-            "chi": self.chi,
-            "pencil_genus": self.pencil_genus,
-            "phi_z": self.phi_z,
-            "canonical_fixed_part": self.canonical_fixed_part,
-            "canonical_description": self.canonical_description,
-            "R_relation": self.R_relation,
-            "branch_kind": self.branch_kind,
-            "N_beta": self.N_beta,
-            "h0_N_beta": self.h0_N_beta,
-            "h1_TS": self.h1_TS,
-            "moduli": self.moduli.to_json(),
-            "K_ample": self.K_ample,
-        }
+        return {**self._asdict(), "type": self.type.value, "moduli": self.moduli._asdict()}
 
 
 _LATTICE = make_lattice(2)
@@ -262,7 +233,7 @@ def moduli_decomposition() -> dict:
                 f"{rep.moduli.cover_degree}"
             )
     return {
-        "components": [reports[t].moduli.to_json() for t in types],
+        "components": [reports[t].moduli._asdict() for t in types],
         "component_count": len(reports),
         "dimensions": [reports[t].moduli.dimension for t in types],
         "pair_counts": {t.value: counts[t] for t in types},

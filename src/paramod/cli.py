@@ -140,7 +140,7 @@ def _cmd_orbits(args) -> dict:
     report = orbits.standard_orbit_report(args.set)
     if args.closure:
         pset, perms, _ = orbits.standard_set("psi12")
-        report["closure"] = orbits.group_closure(perms, 12, cap=args.cap).to_json()
+        report["closure"] = orbits.group_closure(perms, 12, cap=args.cap)._asdict()
         report["permutations"] = {
             name: perm.cycle_string(pset.labels)
             for name, perm in zip(report["generators"], perms)
@@ -238,10 +238,13 @@ def _classify_text(payload: dict):
 
 def _cmd_invariants(args) -> dict:
     with open(args.forest, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError("forest JSON is nested too deeply") from None
     l2, f = doublecover.forest_from_json(payload)
     inv = doublecover.invariants(l2, f)
-    out = inv.to_json()
+    out = inv._asdict()
     out["L2"] = l2
     out["pairs_33"] = [list(p) for p in doublecover.detect_33_pairs(f)]
     return out

@@ -102,15 +102,6 @@ class CoverInvariants(NamedTuple):
     has_33_pair: bool
     minimality_note: str
 
-    def to_json(self) -> dict:
-        return {
-            "chi": self.chi,
-            "K2_resolved": self.K2_resolved,
-            "negligible_ids": list(self.negligible_ids),
-            "has_33_pair": self.has_33_pair,
-            "minimality_note": self.minimality_note,
-        }
-
 
 def is_negligible(f: SingularityForest, node_id: str) -> bool:
     """d = 2 at the point and d <= 2 at every point infinitely near to it."""

@@ -15,61 +15,54 @@ display format, see :meth:`Character.values`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from paramod.errors import ConsistencyError
 
 Vec4 = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class PolarizationType:
-    """Elementary divisor type (1, d) of the polarization."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"elementary divisor must be >= 1, got {self.d}")
-
-
-@dataclass(frozen=True)
-class SymplecticLattice:
+class SymplecticLattice(NamedTuple):
     """Rank-4 lattice with the standard type-(1,d) alternating form."""
 
-    polarization: PolarizationType
+    d: int
     form: tuple[Vec4, Vec4, Vec4, Vec4]
 
-    @property
-    def d(self) -> int:
-        return self.polarization.d
 
-
-@dataclass(frozen=True, order=True)
-class TorsionPoint:
-    """n-division point sum(coords_j * basis_j) / n, coords reduced mod n."""
-
+# A NamedTuple class body cannot override __new__, so a record that checks or
+# normalises its fields declares them in a private base and validates in a
+# subclass; it still compares, orders and hashes as the tuple of its fields.
+class _TorsionPointFields(NamedTuple):
     n: int
     coords: Vec4
 
-    def __post_init__(self) -> None:
-        if self.n not in (2, 4):
-            raise ValueError(f"order bound must be 2 or 4, got {self.n}")
-        object.__setattr__(self, "coords", tuple(c % self.n for c in self.coords))
+
+class TorsionPoint(_TorsionPointFields):
+    """n-division point sum(coords_j * basis_j) / n, coords reduced mod n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, coords: Vec4) -> "TorsionPoint":
+        if n not in (2, 4):
+            raise ValueError(f"order bound must be 2 or 4, got {n}")
+        return super().__new__(cls, n, tuple(c % n for c in coords))
 
 
-@dataclass(frozen=True, order=True)
-class Character:
-    """Torsion character of the lattice, as an exponent vector mod n."""
-
+class _CharacterFields(NamedTuple):
     n: int
     exponents: Vec4
 
-    def __post_init__(self) -> None:
-        if self.n not in (2, 4):
-            raise ValueError(f"order bound must be 2 or 4, got {self.n}")
-        object.__setattr__(self, "exponents", tuple(e % self.n for e in self.exponents))
+
+class Character(_CharacterFields):
+    """Torsion character of the lattice, as an exponent vector mod n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, exponents: Vec4) -> "Character":
+        if n not in (2, 4):
+            raise ValueError(f"order bound must be 2 or 4, got {n}")
+        return super().__new__(cls, n, tuple(e % n for e in exponents))
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
@@ -106,8 +99,7 @@ class Character:
         return {"n": self.n, "exp": list(self.exponents)}
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """The 16 order-2 characters for d=2, split and labeled.
 
     chi[0..3] is the polarization image (chi[0] trivial), psi[0..11] the
@@ -133,24 +125,21 @@ class CharacterTable:
 
 def make_lattice(d: int) -> SymplecticLattice:
     """Lattice with form [[0, diag(1,d)], [-diag(1,d), 0]]."""
-    pol = PolarizationType(d)
+    if d < 1:
+        raise ValueError(f"elementary divisor must be >= 1, got {d}")
     form = (
         (0, 0, 1, 0),
         (0, 0, 0, d),
         (-1, 0, 0, 0),
         (0, -d, 0, 0),
     )
-    return SymplecticLattice(pol, form)
+    return SymplecticLattice(d, form)
 
 
 def pairing(lattice: SymplecticLattice, x, y) -> int:
     """Alternating form x^T E y on integer 4-vectors."""
     e = lattice.form
     return sum(x[i] * e[i][j] * y[j] for i in range(4) for j in range(4))
-
-
-def basis_vector(j: int) -> Vec4:
-    return tuple(1 if i == j else 0 for i in range(4))
 
 
 def phi2(lattice: SymplecticLattice, x: TorsionPoint) -> Character:
@@ -182,11 +171,6 @@ def is_in_im_phi2(lattice: SymplecticLattice, c: Character) -> bool:
     if c.n != 2:
         raise ValueError("membership test expects an order-2 character")
     return c in im_phi2(lattice)
-
-
-def is_in_im_phi2_times(lattice: SymplecticLattice, c: Character) -> bool:
-    """Membership in the image with the trivial character excluded."""
-    return not c.is_trivial() and is_in_im_phi2(lattice, c)
 
 
 def square_roots(c: Character) -> list[Character]:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from paramod.errors import ConsistencyError
 from paramod.lattice import (
@@ -32,29 +31,37 @@ from paramod.paramodular import ParamodularMatrix, act, act_pair, special_genera
 DEFAULT_CLOSURE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class LabeledSet:
-    """Ordered state set with display labels aligned index-by-index."""
-
+class _LabeledSetFields(NamedTuple):
     elements: tuple
     labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.elements) != len(self.labels):
+
+class LabeledSet(_LabeledSetFields):
+    """Ordered state set with display labels aligned index-by-index."""
+
+    __slots__ = ()
+
+    def __new__(cls, elements: tuple, labels: tuple[str, ...]) -> "LabeledSet":
+        if len(elements) != len(labels):
             raise ValueError("elements and labels must have equal length")
-        if len(set(self.elements)) != len(self.elements):
+        if len(set(elements)) != len(elements):
             raise ValueError("duplicate states in labeled set")
+        return super().__new__(cls, elements, labels)
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """Permutation of 0..deg-1 as an image array."""
-
+class _PermutationFields(NamedTuple):
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection: {self.images}")
+
+class Permutation(_PermutationFields):
+    """Permutation of 0..deg-1 as an image array."""
+
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, ...]) -> "Permutation":
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection: {images}")
+        return super().__new__(cls, images)
 
     @property
     def degree(self) -> int:
@@ -64,13 +71,11 @@ class Permutation:
         """self after other: (self.compose(other))(i) = self(other(i)).
 
         A product of two bijections is a bijection, so the result is built
-        without the check in __post_init__.
+        without the check in __new__.
         """
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = object.__new__(Permutation)
-        object.__setattr__(out, "images", tuple(map(self.images.__getitem__, other.images)))
-        return out
+        return tuple.__new__(Permutation, (tuple(map(self.images.__getitem__, other.images)),))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles of length >= 2, each starting at its least point."""
@@ -101,8 +106,7 @@ class Permutation:
         return Permutation(tuple(range(degree)))
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     """Orbit blocks as index lists plus a replayable witness word per element.
 
     Words are tuples of generator indices; applying them left to right to the
@@ -179,20 +183,11 @@ def permutation_of(m: ParamodularMatrix, lset: LabeledSet) -> Permutation:
     return Permutation(_tables(lset, [m], act)[0])
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     order: int
     truncated: bool
     transitive: bool
     orbit_sizes: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "truncated": self.truncated,
-            "transitive": self.transitive,
-            "orbit_sizes": list(self.orbit_sizes),
-        }
 
 
 def _apply(step: Callable, state):

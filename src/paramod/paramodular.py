@@ -12,9 +12,9 @@ All arithmetic is over fractions.Fraction; nothing here ever rounds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from paramod.errors import ConsistencyError
 from paramod.lattice import Character
@@ -44,23 +44,6 @@ def transpose(a: Mat4) -> Mat4:
     return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
 
 
-def mat_inv(a: Mat4) -> Mat4:
-    """Exact inverse by Gauss-Jordan elimination."""
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(4)] for i, row in enumerate(a)]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(4):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[4:]) for row in aug)
-
-
 def _form_matrix(d: int) -> Mat4:
     return mat([[0, 0, 1, 0], [0, 0, 0, d], [-1, 0, 0, 0], [0, -d, 0, 0]])
 
@@ -77,8 +60,7 @@ def _pattern(d: int) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """Outcome of the membership checks, with the first violation located.
 
     symplectic_ok is the full second condition (monodromy integral and
@@ -172,21 +154,12 @@ def _certify(entries, d: int) -> tuple[MembershipCertificate, Mat4, Mat4]:
     return cert, m, n
 
 
-@dataclass(frozen=True)
-class ParamodularMatrix:
+class ParamodularMatrix(NamedTuple):
     """Validated group element with its cached integral monodromy matrix."""
 
     entries: Mat4
     d: int
     monodromy: IntMat4
-
-    def __mul__(self, other: "ParamodularMatrix") -> "ParamodularMatrix":
-        if self.d != other.d:
-            raise ValueError("cannot multiply elements for different polarization types")
-        return member(mat_mul(self.entries, other.entries), self.d)
-
-    def inverse(self) -> "ParamodularMatrix":
-        return member(mat_inv(self.entries), self.d)
 
     def to_json(self) -> dict:
         return {
@@ -263,10 +236,8 @@ def special_generators() -> tuple[tuple[str, ParamodularMatrix], ...]:
 
 def act(m: ParamodularMatrix, c: Character) -> Character:
     """Monodromy action on a character: exponents -> N^T exponents mod n."""
-    n = m.monodromy
-    exps = tuple(
-        sum(n[k][j] * c.exponents[k] for k in range(4)) % c.n for j in range(4)
-    )
+    n, e = m.monodromy, c.exponents
+    exps = tuple(sum(n[k][j] * e[k] for k in range(4)) for j in range(4))
     return Character(c.n, exps)
 
 
@@ -290,13 +261,27 @@ def act_pair(
     return new_base, new_root
 
 
+# An optional sign, ASCII digits and an optional /digits.  No exponent
+# notation: Fraction("1e1000000") builds a million-digit integer from nine
+# characters, while here an entry's digits are bounded by its length.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_matrix(text: str) -> Mat4:
-    """Parse 16 comma-separated rationals (row-major, 'p/q' or integer)."""
+    """Parse 16 comma-separated rationals, row-major, each an integer or p/q."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 16:
         raise ValueError(f"expected 16 comma-separated rationals, got {len(parts)}")
-    try:
-        vals = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed rational among {parts!r}") from None
+    vals = []
+    for k, p in enumerate(parts, start=1):
+        if _RATIONAL.fullmatch(p) is None:
+            raise ValueError(f"entry {k} is not an integer or p/q: {p!r}")
+        try:
+            vals.append(Fraction(p))
+        except ZeroDivisionError:
+            raise ValueError(f"entry {k} has denominator 0: {p!r}") from None
+        except ValueError:
+            # the grammar leaves only the interpreter's limit on int digits
+            raise ValueError(f"entry {k} has more digits than Python parses "
+                             "into an integer") from None
     return mat([vals[4 * i : 4 * i + 4] for i in range(4)])

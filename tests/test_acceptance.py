@@ -93,12 +93,17 @@ def test_criterion_04_pair_orbit():
     _report(4, "the (image character, order-4 root) pairs form one orbit of size 48")
 
 
+def mul(a, b):
+    """Group product: the member whose matrix is a's times b's."""
+    return member(mat_mul(a.entries, b.entries), a.d)
+
+
 def _random_member(rng):
     m = member(identity())
     for _ in range(rng.randint(0, 3)):
-        m = m * rng.choice(GENS)
-    m = m * gen_b(rng.randrange(4), rng.randrange(4), rng.randrange(4))
-    m = m * gen_d(1, rng.randrange(3), 0, 1)
+        m = mul(m, rng.choice(GENS))
+    m = mul(m, gen_b(rng.randrange(4), rng.randrange(4), rng.randrange(4)))
+    m = mul(m, gen_d(1, rng.randrange(3), 0, 1))
     return m
 
 

@@ -65,6 +65,25 @@ def test_membership_bad_input(capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("entry, reason", [
+    ("1e1000000", "is not an integer or p/q"),
+    ("0.5", "is not an integer or p/q"),
+    ("1_000", "is not an integer or p/q"),
+    ("\u0661", "is not an integer or p/q"),
+    ("1" * 5000, "has more digits than Python parses into an integer"),
+    ("1/0", "has denominator 0"),
+], ids=["exponent", "decimal", "underscore", "non-ascii-digit", "5000-digits",
+        "zero-denominator"])
+def test_membership_entry_outside_grammar_exits_2(capsys, entry, reason):
+    # entries are [+-]digits or [+-]digits/digits, ASCII only, so an entry's
+    # cost is bounded by its length; the message names the entry, not its digits
+    matrix = ",".join(["1"] * 5 + [entry] + ["0"] * 10)
+    code, out, err = run_cli(capsys, ["membership", "--matrix", matrix])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: entry 6 {reason}")
+    assert len(err) < 100
+
+
 def test_act_generator(capsys):
     code, out, _ = run_cli(capsys, ["act", "--gen", "J", "--char", "psi1"])
     assert code == 0
@@ -258,6 +277,14 @@ def test_invariants_malformed_forest_exits_2(tmp_path, capsys, payload):
     assert "invalid input" in err
 
 
+def test_invariants_deeply_nested_forest_exits_2(tmp_path, capsys):
+    forest = tmp_path / "forest.json"
+    forest.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["invariants", "--forest", str(forest)])
+    assert (code, out) == (2, "")
+    assert err == "invalid input: forest JSON is nested too deeply\n"
+
+
 def test_unknown_option_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["orbits", "--bogus"])
@@ -330,3 +357,11 @@ def test_help_mentions_fronted_module():
             capture_output=True, check=True,
         ).stdout.decode()
         assert f"module: {module}" in " ".join(out.split())
+
+
+def test_importing_cli_loads_no_dataclasses_or_inspect():
+    code = ("import sys, paramod.cli; "
+            "print(*sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == []

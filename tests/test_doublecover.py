@@ -176,7 +176,7 @@ def test_forest_from_json():
 def test_cover_invariants_json():
     inv = invariants(4, forest([("p", 4)]))
     assert isinstance(inv, CoverInvariants)
-    assert inv.to_json()["chi"] == 1
+    assert inv._asdict()["chi"] == 1
 
 
 def test_parent_cycle_rejected():

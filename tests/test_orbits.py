@@ -19,12 +19,26 @@ from paramod.orbits import (
     standard_orbit_report,
     standard_set,
 )
-from paramod.paramodular import act, act_pair, gen_J, gen_b, gen_d, special_generators
+from paramod.paramodular import (
+    act,
+    act_pair,
+    gen_J,
+    gen_b,
+    gen_d,
+    mat_mul,
+    member,
+    special_generators,
+)
 
 LAT = make_lattice(2)
 TABLE = character_table(LAT)
 GEN_LIST = special_generators()
 GENS = [g for _, g in GEN_LIST]
+
+
+def mul(a, b):
+    """Group product: the member whose matrix is a's times b's."""
+    return member(mat_mul(a.entries, b.entries), a.d)
 
 
 def test_orbit_of_trivial():
@@ -116,7 +130,7 @@ def test_permutation_composition_compatibility():
     rng = random.Random(3)
     for _ in range(10):
         m1, m2 = rng.choice(GENS), rng.choice(GENS)
-        left = permutation_of(m1 * m2, pset)
+        left = permutation_of(mul(m1, m2), pset)
         right = permutation_of(m1, pset).compose(permutation_of(m2, pset))
         assert left == right
 
@@ -250,7 +264,7 @@ def test_partition_robust_under_extra_members():
         for _ in range(rng.randint(1, 3)):
             m = rng.choice(GENS)
             for _ in range(rng.randint(0, 3)):
-                m = m * rng.choice(GENS)
+                m = mul(m, rng.choice(GENS))
             extra.append(m)
         extra.append(gen_b(rng.randrange(6), rng.randrange(6), rng.randrange(6)))
         d12 = rng.randrange(3)

@@ -116,7 +116,7 @@ BLOWUP_CANONICAL = BlowupLineBundle(0, 1)
 
 def blowup_intersection(x: BlowupLineBundle, y: BlowupLineBundle) -> int:
     """Intersection number on the blow-up: (a1*L + b1*E).(a2*L + b2*E)."""
-    return 4 * x.a * y.a - x.b * y.b
+    return L_SELF_INTERSECTION * x.a * y.a - x.b * y.b
 
 
 def chi_blowup_line(bl: BlowupLineBundle) -> int:

@@ -11,26 +11,22 @@ square root sits:
     Q in image^x (root has order 4)     -> type II
     Q outside the image                 -> no surface (empty linear system)
 
-Everything reported here is recomputed where possible (h^1 of the tangent
-sheaf from the normal-sheaf contribution, each moduli dimension as that h^1
-because the components are generically smooth, pair counts against cover
-degrees).
+The paper's stated facts about the three families are held once, in
+:data:`FAMILIES`; the reports read them from there.  Everything else is
+recomputed where possible (h^1 of the tangent sheaf from the normal-sheaf
+contribution, each moduli dimension as that h^1 because the components are
+generically smooth, and the pair counts over all torsion data, which must
+equal the stated cover degrees).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple
 
 from paramod.errors import ConsistencyError
-from paramod.lattice import (
-    Character,
-    CharacterTable,
-    character_table,
-    im_phi2,
-    make_lattice,
-    square_roots,
-)
+from paramod.lattice import Character, character_table, make_lattice, square_roots
 
 ABELIAN_MODULI_DIM = 3
 
@@ -74,9 +70,63 @@ class SurfaceReport(NamedTuple):
         return {**self._asdict(), "type": self.type.value, "moduli": self.moduli._asdict()}
 
 
-_LATTICE = make_lattice(2)
-_IMAGE = set(im_phi2(_LATTICE))
-_TABLE = character_table(_LATTICE)
+class CanonicalSystem(NamedTuple):
+    fixed_part: bool
+    description: str
+
+
+class BranchCase(NamedTuple):
+    case: str
+    description: str
+    disconnected_on_blowup: bool
+
+
+class Family(NamedTuple):
+    """The paper's stated facts about one moduli family."""
+
+    cover_degree: int
+    pencil_genus: int
+    phi_z: int
+    canonical: CanonicalSystem
+    R_relation: str
+    branch: BranchCase
+    n_beta_trivial: bool
+    ample: str  # the surfaces of the family whose canonical class is ample
+
+
+_NO_FIXED_PART = CanonicalSystem(
+    False, "no fixed part; the general canonical curve is irreducible")
+_IRREDUCIBLE_BRANCH = BranchCase(
+    "(i)/(ii)",
+    "irreducible branch curve with an ordinary quadruple point (possibly plus "
+    "one ordinary double point); the type Ia/Ib split happens in the square "
+    "root, not in the branch curve",
+    False)
+_GENERAL_SURFACE = "the general surface"
+
+FAMILIES = {
+    SurfaceType.Ia: Family(
+        cover_degree=12, pencil_genus=5, phi_z=8, canonical=_NO_FIXED_PART,
+        R_relation="2R in |Phi|", branch=_IRREDUCIBLE_BRANCH,
+        n_beta_trivial=True, ample=_GENERAL_SURFACE),
+    SurfaceType.Ib: Family(
+        cover_degree=3, pencil_genus=3, phi_z=4,
+        canonical=CanonicalSystem(
+            True, "|K| = Z + |Phi|: fixed elliptic curve Z plus a "
+                  "base-point-free genus-3 pencil"),
+        R_relation="R in |Phi|", branch=_IRREDUCIBLE_BRANCH,
+        n_beta_trivial=True, ample=_GENERAL_SURFACE),
+    SurfaceType.II: Family(
+        cover_degree=48, pencil_genus=5, phi_z=8, canonical=_NO_FIXED_PART,
+        R_relation="R = R1 + R2 with 4R1, 4R2 in |Phi|",
+        branch=BranchCase(
+            "(iii)",
+            "C = C1 + C2, each half irreducible and nodal at the quadruple "
+            "point, with C1.C2 = 4; the branch curve on the blow-up is "
+            "disconnected",
+            True),
+        n_beta_trivial=False, ample="every surface"),
+}
 
 
 def classify(q: Character, root: Character) -> SurfaceType:
@@ -87,16 +137,15 @@ def classify(q: Character, root: Character) -> SurfaceType:
         raise ValueError(
             f"root {root.exponents} squares to {root.square().exponents}, not {q.exponents}"
         )
-    if q not in _IMAGE:
+    image = character_table(make_lattice(2)).chi
+    if q not in image:
         return SurfaceType.Invalid
     if not q.is_trivial():
-        if all(e % 2 == 0 for e in root.exponents):
-            raise ConsistencyError("square root of a nontrivial character must have order 4")
         return SurfaceType.II
     if root.is_trivial():
         return SurfaceType.PG3
     root2 = Character(2, tuple(e // 2 for e in root.exponents))
-    return SurfaceType.Ib if root2 in _IMAGE else SurfaceType.Ia
+    return SurfaceType.Ib if root2 in image else SurfaceType.Ia
 
 
 def invalid_reason() -> str:
@@ -109,59 +158,29 @@ def h1_tangent(n_beta_trivial: bool) -> int:
     return ABELIAN_MODULI_DIM + (1 if n_beta_trivial else 0)
 
 
-_COVER_DEGREES = {SurfaceType.Ia: 12, SurfaceType.Ib: 3, SurfaceType.II: 48}
-
-
 def surface_report(t: SurfaceType) -> SurfaceReport:
     """Full invariant and moduli record for a surface of type Ia, Ib or II."""
-    if t not in (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II):
+    if t not in FAMILIES:
         raise ValueError(
             f"no surface report for {t.value}; the degenerate branch is served "
             "by degenerate_report()"
         )
-    n_beta_trivial = t in (SurfaceType.Ia, SurfaceType.Ib)
-    h0_nb = 1 if n_beta_trivial else 0
-    h1 = h1_tangent(n_beta_trivial)
-    moduli = ModuliComponent(
-        name=t.value,
-        dimension=h1,
-        cover_degree=_COVER_DEGREES[t],
-        connected=True,
-        irreducible=True,
-        generically_smooth=True,
-    )
-    common = dict(pg=2, q=2, K2=6, chi=1, moduli=moduli,
-                  N_beta="trivial" if n_beta_trivial else "nontrivial-2-torsion",
-                  h0_N_beta=h0_nb, h1_TS=h1)
-    if t == SurfaceType.Ia:
-        return SurfaceReport(
-            type=t, pencil_genus=5, phi_z=8,
-            canonical_fixed_part=False,
-            canonical_description="no fixed part; the general canonical curve is irreducible",
-            R_relation="2R in |Phi|",
-            branch_kind="(i)/(ii)",
-            K_ample="the general surface has ample canonical class",
-            **common,
-        )
-    if t == SurfaceType.Ib:
-        return SurfaceReport(
-            type=t, pencil_genus=3, phi_z=4,
-            canonical_fixed_part=True,
-            canonical_description="|K| = Z + |Phi|: fixed elliptic curve Z plus a "
-                                  "base-point-free genus-3 pencil",
-            R_relation="R in |Phi|",
-            branch_kind="(i)/(ii)",
-            K_ample="the general surface has ample canonical class",
-            **common,
-        )
+    family = FAMILIES[t]
+    h1 = h1_tangent(family.n_beta_trivial)
     return SurfaceReport(
-        type=t, pencil_genus=5, phi_z=8,
-        canonical_fixed_part=False,
-        canonical_description="no fixed part; the general canonical curve is irreducible",
-        R_relation="R = R1 + R2 with 4R1, 4R2 in |Phi|",
-        branch_kind="(iii)",
-        K_ample="every surface has ample canonical class",
-        **common,
+        type=t, pg=2, q=2, K2=6, chi=1,
+        pencil_genus=family.pencil_genus,
+        phi_z=family.phi_z,
+        canonical_fixed_part=family.canonical.fixed_part,
+        canonical_description=family.canonical.description,
+        R_relation=family.R_relation,
+        branch_kind=family.branch.case,
+        N_beta="trivial" if family.n_beta_trivial else "nontrivial-2-torsion",
+        h0_N_beta=1 if family.n_beta_trivial else 0,
+        h1_TS=h1,
+        moduli=ModuliComponent(t.value, h1, family.cover_degree, connected=True,
+                               irreducible=True, generically_smooth=True),
+        K_ample=f"{family.ample} has ample canonical class",
     )
 
 
@@ -180,40 +199,31 @@ def degenerate_report() -> dict:
 
 def branch_curve_kind(t: SurfaceType) -> dict:
     """Which reduced branch configuration the type forces."""
-    if t in (SurfaceType.Ia, SurfaceType.Ib):
-        return {
-            "case": "(i)/(ii)",
-            "description": "irreducible branch curve with an ordinary quadruple "
-                           "point (possibly plus one ordinary double point); the "
-                           "type Ia/Ib split happens in the square root, not in "
-                           "the branch curve",
-            "disconnected_on_blowup": False,
-        }
-    if t == SurfaceType.II:
-        return {
-            "case": "(iii)",
-            "description": "C = C1 + C2, each half irreducible and nodal at the "
-                           "quadruple point, with C1.C2 = 4; the branch curve on "
-                           "the blow-up is disconnected",
-            "disconnected_on_blowup": True,
-        }
-    raise ValueError(f"no branch configuration for {t.value}")
+    if t not in FAMILIES:
+        raise ValueError(f"no branch configuration for {t.value}")
+    return FAMILIES[t].branch._asdict()
 
 
 def all_valid_pairs() -> list[tuple[Character, Character, SurfaceType]]:
     """Every (Q, root) with Q in the image, with its type; deterministic order."""
     out = []
-    for q in sorted(_IMAGE):
+    for q in sorted(character_table(make_lattice(2)).chi):
         for root in square_roots(q):
             out.append((q, root, classify(q, root)))
     return out
 
 
-def pair_counts() -> dict[SurfaceType, int]:
+@functools.cache
+def _pair_counts() -> dict[SurfaceType, int]:
     counts: dict[SurfaceType, int] = {}
     for _, _, t in all_valid_pairs():
         counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def pair_counts() -> dict[SurfaceType, int]:
+    """Valid torsion data per type, classified once per process; a fresh dict."""
+    return dict(_pair_counts())
 
 
 def moduli_decomposition() -> dict:
@@ -223,28 +233,20 @@ def moduli_decomposition() -> dict:
     torsion data are compared with the cover degrees, and a mismatch raises
     ConsistencyError.
     """
-    types = (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II)
-    reports = {t: surface_report(t) for t in types}
+    reports = [surface_report(t) for t in FAMILIES]
     counts = pair_counts()
-    for t, rep in reports.items():
-        if counts.get(t, 0) != rep.moduli.cover_degree:
+    for rep in reports:
+        if counts.get(rep.type, 0) != rep.moduli.cover_degree:
             raise ConsistencyError(
-                f"type {t.value}: {counts.get(t, 0)} torsion data but cover degree "
-                f"{rep.moduli.cover_degree}"
+                f"type {rep.type.value}: {counts.get(rep.type, 0)} torsion data but "
+                f"cover degree {rep.moduli.cover_degree}"
             )
     return {
-        "components": [reports[t].moduli._asdict() for t in types],
+        "components": [rep.moduli._asdict() for rep in reports],
         "component_count": len(reports),
-        "dimensions": [reports[t].moduli.dimension for t in types],
-        "pair_counts": {t.value: counts[t] for t in types},
+        "dimensions": [rep.moduli.dimension for rep in reports],
+        "pair_counts": {rep.type.value: counts[rep.type] for rep in reports},
         "degenerate_pairs": counts.get(SurfaceType.PG3, 0),
-        "ample_canonical": {
-            "Ia": "general surface",
-            "Ib": "general surface",
-            "II": "every surface",
-        },
+        "ample_canonical": {t.value: family.ample.removeprefix("the ")
+                            for t, family in FAMILIES.items()},
     }
-
-
-def table() -> CharacterTable:
-    return _TABLE

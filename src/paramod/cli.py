@@ -202,7 +202,7 @@ def _act_text(payload: dict):
 
 
 def _cmd_classify(args) -> dict:
-    table = classifier.table()
+    table = character_table(make_lattice(2))
     q = parse_character(args.Q, 2, table)
     root = parse_character(args.root, 4, table)
     t = classifier.classify(q, root)

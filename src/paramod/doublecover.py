@@ -141,8 +141,6 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
         raise ValueError(f"L2 must be even and positive, got {L2}")
     ms = [n.d // 2 for n in f.nodes]
     drop_chi = sum(m * (m - 1) for m in ms)
-    if (L2 - drop_chi) % 2 != 0:
-        raise ConsistencyError(f"parity failure: L2={L2}, sum m(m-1)={drop_chi}")
     chi = (L2 - drop_chi) // 2
     k2 = 2 * L2 - 2 * sum((m - 1) ** 2 for m in ms)
 

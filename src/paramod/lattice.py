@@ -167,12 +167,6 @@ def im_phi2(lattice: SymplecticLattice) -> list[Character]:
     return sorted(image)
 
 
-def is_in_im_phi2(lattice: SymplecticLattice, c: Character) -> bool:
-    if c.n != 2:
-        raise ValueError("membership test expects an order-2 character")
-    return c in im_phi2(lattice)
-
-
 def square_roots(c: Character) -> list[Character]:
     """All 16 order-4 characters b with b^2 = c, in lexicographic order."""
     if c.n != 2:

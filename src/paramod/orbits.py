@@ -19,6 +19,7 @@ import math
 import operator
 from typing import Callable, NamedTuple, Sequence
 
+from paramod.classifier import FAMILIES, SurfaceType
 from paramod.errors import ConsistencyError
 from paramod.lattice import (
     CharacterTable,
@@ -290,16 +291,17 @@ def standard_orbit_report(set_name: str) -> dict:
 def component_report() -> dict:
     """Connected-component and cover-degree summary for the decorated moduli.
 
-    Each stated degree (12, 3 and 48 = 3 * 16) is compared with the size of
-    the orbit the orbit engine computes for it; a mismatch raises
-    ConsistencyError.  The 12- and 3-orbits being disjoint in 16 characters
-    leaves the trivial character alone, so the sizes are exactly 1, 3, 12.
+    Each family's cover degree in ``classifier.FAMILIES`` is compared with
+    the size of the orbit the orbit engine computes for it; a mismatch
+    raises ConsistencyError.  The Ia and Ib orbits are disjoint in the 16
+    characters, and the trivial character is left alone as the third orbit.
     """
     lset16, _, part16 = standard_set("characters2")
     orbit_size = {lset16.labels[i]: len(block) for block in part16.blocks for i in block}
     part48 = standard_set("pairs48")[2]
 
-    def component(name, marking, cover_degree, orbit_size_check, **extra) -> dict:
+    def component(name, marking, family, orbit_size_check, **extra) -> dict:
+        cover_degree = FAMILIES[family].cover_degree
         if orbit_size_check != cover_degree:
             raise ConsistencyError(
                 f"component {name}: cover degree {cover_degree} but orbit size "
@@ -312,12 +314,12 @@ def component_report() -> dict:
     return {
         "marked_2torsion_space": {"components": [
             component("a", "2-torsion bundle outside the polarization image",
-                      12, orbit_size["psi1"]),
+                      SurfaceType.Ia, orbit_size["psi1"]),
             component("b", "2-torsion bundle in the polarization image",
-                      3, orbit_size["chi1"]),
+                      SurfaceType.Ib, orbit_size["chi1"]),
         ]},
         "marked_root_pair_space": {"components": [
             component("single", "(2-torsion bundle in the image, order-4 square root)",
-                      48, len(part48.blocks[0]), factorization="3 * 16"),
+                      SurfaceType.II, len(part48.blocks[0]), factorization="3 * 16"),
         ]},
     }

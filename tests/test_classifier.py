@@ -1,6 +1,11 @@
+import subprocess
+import sys
+
 import pytest
 
+from paramod import classifier, cli
 from paramod.classifier import (
+    FAMILIES,
     SurfaceType,
     all_valid_pairs,
     branch_curve_kind,
@@ -10,12 +15,13 @@ from paramod.classifier import (
     moduli_decomposition,
     pair_counts,
     surface_report,
-    table,
 )
-from paramod.lattice import Character, square_roots
+from paramod.errors import ConsistencyError
+from paramod.lattice import Character, character_table, make_lattice, square_roots
+from paramod.orbits import component_report
 from paramod.paramodular import act, special_generators
 
-TABLE = table()
+TABLE = character_table(make_lattice(2))
 TRIVIAL = TABLE.chi[0]
 GENS = [g for _, g in special_generators()]
 
@@ -65,6 +71,44 @@ def test_pair_counts_match_cover_degrees():
     assert counts[SurfaceType.II] == 48
     assert counts[SurfaceType.PG3] == 1
     assert SurfaceType.Invalid not in counts
+    # the counts are computed once per process; a caller's edits stay its own
+    counts[SurfaceType.Ia] = 0
+    del counts[SurfaceType.II]
+    assert pair_counts() == {SurfaceType.Ia: 12, SurfaceType.Ib: 3, SurfaceType.II: 48,
+                             SurfaceType.PG3: 1}
+
+
+def test_second_moduli_call_classifies_nothing(monkeypatch):
+    calls = []
+
+    def counted(q, root, classify=classifier.classify):
+        calls.append((q, root))
+        return classify(q, root)
+
+    monkeypatch.setattr(classifier, "classify", counted)
+    classifier._pair_counts.cache_clear()
+    assert cli.main(["moduli"]) == 0
+    assert len(calls) == 64
+    assert cli.main(["moduli"]) == 0
+    assert len(calls) == 64
+
+
+@pytest.mark.parametrize("t", list(FAMILIES))
+def test_stated_cover_degree_checked_by_counts_and_orbits(monkeypatch, t):
+    family = FAMILIES[t]
+    monkeypatch.setitem(FAMILIES, t, family._replace(cover_degree=family.cover_degree + 1))
+    with pytest.raises(ConsistencyError, match="cover degree"):
+        moduli_decomposition()
+    with pytest.raises(ConsistencyError, match="cover degree"):
+        component_report()
+
+
+def test_importing_classifier_builds_no_table():
+    code = ("import paramod.classifier; from paramod.lattice import character_table; "
+            "print(character_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0"]
 
 
 def test_three_types_over_nontrivial_data():

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramod import cli, orbits
 from paramod.cli import main
@@ -365,3 +368,94 @@ def test_importing_cli_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == []
+
+
+# -- exit-code contract under fuzzing ---------------------------------------------
+
+_GOLDEN_MATRIX = "0,0,1,0,0,0,0,2,-1,0,0,0,0,-1/2,0,0"
+
+# subcommand -> option -> valid values (None for a flag); the fuzzer mutates them
+_GRAMMAR = {
+    "orbits": {"--set": ("characters2", "psi12", "pairs48"), "--closure": None,
+               "--cap": ("1", "3", "576", "1000000")},
+    "membership": {"--matrix": (_IDENTITY, _GOLDEN_MATRIX), "--d": ("1", "2", "7")},
+    "act": {"--matrix": (_IDENTITY, _GOLDEN_MATRIX), "--gen": ("b(1,0,0)", "d(1,0,1,1)", "J"),
+            "--char": ("psi2", "chi1", "0,1,1,0", "1,3,0,2"), "--n": ("2", "4")},
+    "classify": {"--Q": ("chi0", "chi1", "psi5", "1,0,1,0"),
+                 "--root": ("0,0,0,0", "0,2,2,0", "0,0,2,0", "0,0,1,0", "1,0,1,2",
+                           "0,1,1,2", "-1,2,3,4")},
+    "invariants": {"--forest": ()},  # filled with the forest files below
+    "chern": {"--bundle": ("2,1,1", "1,0,-3"), "--blowup": ("2,-4", "0,1")},
+    "moduli": {},
+    "ledger": {},
+}
+_EXCLUSIVE = {"--gen": "--matrix", "--blowup": "--bundle"}
+_ALL_OPTIONS = sorted({opt for options in _GRAMMAR.values() for opt in options}
+                      | {"--format", "--help", "--bogus"})
+
+
+@pytest.fixture(scope="module")
+def forest_paths(tmp_path_factory):
+    """Forest files: valid, cyclic, wrongly typed, invalid UTF-8, a directory, missing."""
+    root = tmp_path_factory.mktemp("forests")
+    files = {
+        "cyclic.json": b'{"L2": 4, "nodes": [{"id": "a", "d": 4, "parent": "b"},'
+                       b' {"id": "b", "d": 4, "parent": "a"}]}',
+        "types.json": b'{"L2": "4", "nodes": {"id": "a"}}',
+        "utf8.json": b'{"L2": 4, "nodes": [{"id": "\xff", "d": 4}]}',
+    }
+    for name, content in files.items():
+        (root / name).write_bytes(content)
+    (root / "dir.json").mkdir()
+    return (str(ROOT / "tests" / "golden" / "forest_p4.json"),
+            *(str(root / name) for name in (*files, "dir.json", "missing.json")))
+
+
+def _mutated(valid):
+    """Mostly a valid value; else a small edit of one, or arbitrary short text."""
+    edited = st.tuples(st.sampled_from(valid), st.integers(0, 40), st.integers(0, 3),
+                       st.text(max_size=3)).map(
+        lambda t: t[0][:t[1]] + t[3] + t[0][t[1] + t[2]:])
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(valid) if k else st.one_of(
+        edited, st.text(max_size=12), st.integers(-10**6, 10**6).map(str)))
+
+
+@st.composite
+def _argv(draw, forests):
+    grammar = {**_GRAMMAR, "invariants": {"--forest": forests}}
+
+    def rarely() -> bool:
+        return draw(st.integers(0, 9)) == 0
+
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(_mutated(("json", "text")))]
+    command = draw(_mutated(tuple(grammar)))
+    argv.append(command)
+    options = grammar.get(command, {})
+    for opt in draw(st.permutations(sorted(options))):
+        if draw(st.integers(0, 3)) == 0 or _EXCLUSIVE.get(opt) in argv and not rarely():
+            continue
+        argv.append(opt)
+        if options[opt] is not None and not rarely():
+            argv.append(draw(_mutated(options[opt])))
+    if rarely():
+        argv += draw(st.lists(st.sampled_from(_ALL_OPTIONS) | _mutated(("--d",)), max_size=3))
+    return argv
+
+
+def test_cli_exit_code_contract_under_fuzzing(forest_paths):
+    @settings(max_examples=200, deadline=None)
+    @given(_argv(forest_paths))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", argv
+
+    run()

@@ -7,7 +7,6 @@ from paramod.lattice import (
     TorsionPoint,
     character_table,
     im_phi2,
-    is_in_im_phi2,
     k_group,
     make_lattice,
     pairing,
@@ -121,8 +120,8 @@ def test_im_phi2_d2():
     for c in image:
         assert c.exponents[1] == 0 and c.exponents[3] == 0
     psi5 = Character(2, (0, 1, 1, 0))
-    assert not is_in_im_phi2(lat, psi5)
-    assert is_in_im_phi2(lat, Character(2, (0, 0, 0, 0)))
+    assert psi5 not in image
+    assert Character(2, (0, 0, 0, 0)) in image
 
 
 def test_im_phi2_principal_is_everything():

@@ -1,9 +1,11 @@
-"""Exact-arithmetic toolkit for the monodromy of (1,d)-polarized abelian
+"""Exact-arithmetic toolkit for the monodromy of (1,2)-polarized abelian
 surfaces and the double-cover surface classification built on top of it.
 
 Everything here is finite and exact: lattices and torsion characters over
 Z/nZ, rational symplectic matrices, orbit enumeration, Riemann-Roch ledgers
-and branch-curve invariants.  No floating point anywhere.
+and branch-curve invariants.  No floating point anywhere.  The character
+table, the generators, the orbits and the classifier serve d=2 only; group
+membership is the one check that takes a general type (1,d).
 """
 
 import importlib

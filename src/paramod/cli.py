@@ -140,7 +140,7 @@ def _cmd_orbits(args) -> dict:
     report = orbits.standard_orbit_report(args.set)
     if args.closure:
         pset, perms, _ = orbits.standard_set("psi12")
-        report["closure"] = orbits.group_closure(perms, 12, cap=args.cap)._asdict()
+        report["closure"] = orbits.group_closure(perms, len(pset.elements), cap=args.cap)._asdict()
         report["permutations"] = {
             name: perm.cycle_string(pset.labels)
             for name, perm in zip(report["generators"], perms)
@@ -154,8 +154,8 @@ def _orbits_text(payload: dict):
         lines.append(f"  orbit of size {orb['size']}: " + " ".join(orb["members"]))
     if "closure" in payload:
         c = payload["closure"]
-        lines.append(f"induced group on the 12 complement characters: order {c['order']},"
-                     f" transitive {c['transitive']}")
+        lines.append(f"induced group on the {sum(c['orbit_sizes'])} complement characters: "
+                     f"order {c['order']}, transitive {c['transitive']}")
         for name, cyc in sorted(payload["permutations"].items()):
             lines.append(f"  {name}: {cyc}")
     return lines

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from paramod.errors import ConsistencyError
-
 
 class ForestNode(NamedTuple):
     id: str
@@ -163,54 +161,6 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
         notes.append("chains of infinitely-near points deeper than one level are "
                      "beyond the classifier's case analysis")
     return CoverInvariants(chi, k2, negligible, bool(pairs), "; ".join(notes))
-
-
-def branch_scenarios() -> list[dict]:
-    """The three reduced branch configurations with a quadruple point.
-
-    Each is mapped to its singularity forest and to invariants(4, .), which
-    must come out chi = 1, K^2 = 6 for all three.
-    """
-    cases = [
-        {
-            "case": "(i)",
-            "description": "irreducible curve, one ordinary quadruple point",
-            "forest": forest([("p", 4)]),
-            "surface_type_hint": "I",
-        },
-        {
-            "case": "(ii)",
-            "description": "irreducible curve, one ordinary quadruple point "
-                           "plus one ordinary double point",
-            "forest": forest([("p", 4), ("n", 2)]),
-            "surface_type_hint": "I",
-        },
-        {
-            "case": "(iii)",
-            "description": "two irreducible halves, each with an ordinary double "
-                           "point at p, meeting with intersection number 4 "
-                           "(branch curve disconnected after resolution)",
-            "forest": forest([("p", 4)]),
-            "surface_type_hint": "II",
-        },
-    ]
-    out = []
-    for c in cases:
-        inv = invariants(4, c["forest"])
-        if (inv.chi, inv.K2_resolved) != (1, 6):
-            raise ConsistencyError(
-                f"branch case {c['case']} gives ({inv.chi}, {inv.K2_resolved}), want (1, 6)"
-            )
-        out.append({
-            "case": c["case"],
-            "description": c["description"],
-            "nodes": [{"id": n.id, "d": n.d, "parent": n.parent} for n in c["forest"].nodes],
-            "chi": inv.chi,
-            "K2": inv.K2_resolved,
-            "negligible_ids": list(inv.negligible_ids),
-            "surface_type_hint": c["surface_type_hint"],
-        })
-    return out
 
 
 def _json_field(value, types: tuple, what: str):

@@ -18,8 +18,6 @@ import functools
 from itertools import product
 from typing import NamedTuple
 
-from paramod.errors import ConsistencyError
-
 Vec4 = tuple[int, int, int, int]
 
 
@@ -103,8 +101,7 @@ class CharacterTable(NamedTuple):
     """The 16 order-2 characters for d=2, split and labeled.
 
     chi[0..3] is the polarization image (chi[0] trivial), psi[0..11] the
-    12-element complement, both in the fixed conventional order used for
-    all orbit and permutation reporting.
+    12-element complement, both in lexicographic exponent order.
     """
 
     chi: tuple[Character, ...]
@@ -175,50 +172,20 @@ def square_roots(c: Character) -> list[Character]:
     return [Character(4, exps) for exps in product(*choices)]
 
 
-# Value tuples fixed once and for all; every orbit listing, permutation and
-# serialized label refers back to this order.
-_CHI_VALUES = (
-    (1, 1, 1, 1),
-    (1, 1, -1, 1),
-    (-1, 1, 1, 1),
-    (-1, 1, -1, 1),
-)
-_PSI_VALUES = (
-    (1, 1, 1, -1),
-    (1, 1, -1, -1),
-    (1, -1, 1, 1),
-    (1, -1, 1, -1),
-    (1, -1, -1, 1),
-    (1, -1, -1, -1),
-    (-1, 1, 1, -1),
-    (-1, 1, -1, -1),
-    (-1, -1, 1, 1),
-    (-1, -1, 1, -1),
-    (-1, -1, -1, 1),
-    (-1, -1, -1, -1),
-)
-
-
-def _from_values(vals) -> Character:
-    return Character(2, tuple(0 if v == 1 else 1 for v in vals))
-
-
 @functools.cache
 def character_table(lattice: SymplecticLattice) -> CharacterTable:
     """Labeled table of the 16 order-2 characters (d=2 only).
 
-    The chi block is exactly the image of phi2 and the psi block its
-    complement; this is checked on construction rather than assumed.
-    Built once per lattice; every call returns the same table.
+    The chi block is the image of phi2 and the psi block its complement,
+    each in lexicographic exponent order; every orbit listing, permutation
+    and serialized label refers back to this order.  Built once per
+    lattice; every call returns the same table.
     """
     if lattice.d != 2:
         raise ValueError("the labeled character table is specific to d=2")
-    chi = tuple(_from_values(v) for v in _CHI_VALUES)
-    psi = tuple(_from_values(v) for v in _PSI_VALUES)
-    if sorted(chi) != im_phi2(lattice):
-        raise ConsistencyError("chi block does not match the image of phi2")
-    if len(set(chi) | set(psi)) != 16:
-        raise ConsistencyError("character table does not exhaust the 16 characters")
+    chi = tuple(im_phi2(lattice))
+    psi = tuple(c for c in (Character(2, e) for e in product(range(2), repeat=4))
+                if c not in chi)
     return CharacterTable(chi, psi)
 
 

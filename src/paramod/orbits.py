@@ -228,8 +228,7 @@ def characters2_set(table: CharacterTable) -> LabeledSet:
 
 
 def psi_set(table: CharacterTable) -> LabeledSet:
-    labels = tuple(f"psi{i + 1}" for i in range(12))
-    return LabeledSet(table.psi, labels)
+    return LabeledSet(table.psi, tuple(map(table.label_of, table.psi)))
 
 
 def pairs48_set(table: CharacterTable) -> LabeledSet:
@@ -298,7 +297,9 @@ def component_report() -> dict:
     """
     lset16, _, part16 = standard_set("characters2")
     orbit_size = {lset16.labels[i]: len(block) for block in part16.blocks for i in block}
-    part48 = standard_set("pairs48")[2]
+    lset48, _, part48 = standard_set("pairs48")
+    bases = {q for q, _ in lset48.elements}
+    factorization = f"{len(bases)} * {len(lset48.elements) // len(bases)}"
 
     def component(name, marking, family, orbit_size_check, **extra) -> dict:
         cover_degree = FAMILIES[family].cover_degree
@@ -320,6 +321,6 @@ def component_report() -> dict:
         ]},
         "marked_root_pair_space": {"components": [
             component("single", "(2-torsion bundle in the image, order-4 square root)",
-                      SurfaceType.II, len(part48.blocks[0]), factorization="3 * 16"),
+                      SurfaceType.II, len(part48.blocks[0]), factorization=factorization),
         ]},
     }

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramod.chern import (
     BlowupLineBundle,
@@ -127,6 +128,17 @@ def test_blowup_intersection_form():
     pencil = BlowupLineBundle(2, -4)
     assert blowup_intersection(pencil, pencil) == 0
     assert blowup_intersection(pencil, e) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(-99, 99), st.integers(-99, 99), st.integers(-99, 99))
+def test_riemann_roch_and_adjunction_halve_exactly(rank, a, c2, b):
+    # L^2 = 4 is even, so each numerator is even and the halving loses nothing
+    assert 2 * chi_abelian(ChernDatum(rank, a, c2)) == 4 * a * a - 2 * c2
+    bl = BlowupLineBundle(a, b)
+    d_sq, d_k = 4 * a * a - b * b, -b
+    assert 2 * chi_blowup_line(bl) == d_sq - d_k
+    assert 2 * (genus_blowup_divisor(bl) - 1) == d_sq + d_k
 
 
 def test_chi_blowup_inverse_root():

@@ -16,6 +16,7 @@ from paramod.classifier import (
     pair_counts,
     surface_report,
 )
+from paramod.doublecover import forest, invariants
 from paramod.errors import ConsistencyError
 from paramod.lattice import Character, character_table, make_lattice, square_roots
 from paramod.orbits import component_report
@@ -241,16 +242,16 @@ def test_phi_z_derived_from_intersection_numbers():
 
 
 def test_branch_kind_consistent_with_scenarios():
-    from paramod.doublecover import branch_scenarios
-    rows = {r["case"]: r for r in branch_scenarios()}
+    # (i) and (iii) have one ordinary quadruple point, (ii) adds a node
+    forests = {"(i)": [("p", 4)], "(ii)": [("p", 4), ("n", 2)], "(iii)": [("p", 4)]}
     assert branch_curve_kind(SurfaceType.II)["case"] == "(iii)"
-    assert rows["(iii)"]["surface_type_hint"] == "II"
-    for case in ("(i)", "(ii)"):
-        assert rows[case]["surface_type_hint"] == "I"
-        assert case in branch_curve_kind(SurfaceType.Ia)["case"]
+    for t in (SurfaceType.Ia, SurfaceType.Ib):
+        for case in ("(i)", "(ii)"):
+            assert case in branch_curve_kind(t)["case"]
     for t in (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II):
         rep = surface_report(t)
-        hint = "II" if t is SurfaceType.II else "I"
-        matching = [r for r in rows.values() if r["surface_type_hint"] == hint]
-        for r in matching:
-            assert (r["chi"], r["K2"]) == (rep.chi, rep.K2)
+        cases = [case for case in forests if case in rep.branch_kind]
+        assert cases
+        for case in cases:
+            inv = invariants(4, forest(forests[case]))
+            assert (inv.chi, inv.K2_resolved) == (rep.chi, rep.K2)

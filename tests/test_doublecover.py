@@ -10,7 +10,6 @@ from paramod.doublecover import (
     CoverInvariants,
     ForestNode,
     SingularityForest,
-    branch_scenarios,
     detect_33_pairs,
     forest,
     forest_from_json,
@@ -151,14 +150,15 @@ def test_deep_chain_flagged():
     assert "deeper than one level" in inv.minimality_note
 
 
-def test_branch_scenarios():
-    rows = branch_scenarios()
-    assert [r["case"] for r in rows] == ["(i)", "(ii)", "(iii)"]
-    for r in rows:
-        assert (r["chi"], r["K2"]) == (1, 6)
-    assert rows[1]["negligible_ids"] == ["n"]
-    assert rows[2]["surface_type_hint"] == "II"
-    assert rows[0]["surface_type_hint"] == "I"
+# The reduced branch configurations with a quadruple point: cases (i) and
+# (iii) are one ordinary quadruple point, case (ii) adds an ordinary node.
+@pytest.mark.parametrize("nodes, negligible", [
+    ([("p", 4)], ()),
+    ([("p", 4), ("n", 2)], ("n",)),
+], ids=["p4", "p4-n2"])
+def test_branch_scenarios(nodes, negligible):
+    inv = invariants(4, forest(nodes))
+    assert (inv.chi, inv.K2_resolved, inv.negligible_ids) == (1, 6, negligible)
 
 
 def test_forest_from_json():
@@ -345,7 +345,7 @@ def test_importing_doublecover_loads_no_other_module():
             " or m in ('dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.split() == ["paramod", "paramod.doublecover", "paramod.errors"]
+    assert out.split() == ["paramod", "paramod.doublecover"]
 
 
 def test_package_names_resolve_to_their_modules():

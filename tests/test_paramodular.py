@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramod.lattice import Character, character_table, make_lattice, square_roots
 from paramod.paramodular import (
@@ -235,6 +236,43 @@ def test_act_pair_squaring_commutes():
         new_q, new_root = act_pair(m, (q, root))
         assert new_root.square() == new_q
         assert new_q == act(m, q)
+
+
+_WORDS = st.lists(st.sampled_from(range(len(GENS))), max_size=5)
+_EXPONENTS = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+def word_member(word):
+    m = member(identity())
+    for gi in word:
+        m = mul(m, GENS[gi])
+    return m
+
+
+@settings(max_examples=30, deadline=None)
+@given(_WORDS, _WORDS, st.sampled_from([2, 4]), _EXPONENTS)
+def test_action_law_on_generator_words(w1, w2, n, exps):
+    g, h = word_member(w1), word_member(w2)
+    c = Character(n, exps)
+    assert act(mul(g, h), c) == act(g, act(h, c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_WORDS, _EXPONENTS)
+def test_action_commutes_with_squaring(word, exps):
+    # the law that keeps act_pair's image pair in the square relation
+    g = word_member(word)
+    b = Character(4, exps)
+    assert act(g, b).square() == act(g, b.square())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_WORDS)
+def test_generator_words_are_members(word):
+    m = identity()
+    for gi in word:
+        m = mat_mul(m, GENS[gi].entries)
+    assert is_member(m).ok
 
 
 def test_act_pair_first_component():

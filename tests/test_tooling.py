@@ -35,3 +35,20 @@ def test_no_dataclasses_import_in_package():
     offenders = [f"{name}:{node.lineno}" for name, node in _package_nodes()
                  if any(m.partition(".")[0] == "dataclasses" for m in imported(node))]
     assert offenders == []
+
+
+def test_no_unused_imports_in_package():
+    # a stale import keeps a dependency between modules that nothing needs
+    imported, used = {}, set()
+    for name, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[name, alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[name, alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add((name, node.id))
+    offenders = [f"{name}:{line} {ident}" for (name, ident), line in sorted(imported.items())
+                 if (name, ident) not in used]
+    assert offenders == []

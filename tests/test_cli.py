@@ -305,6 +305,7 @@ GOLDEN_COMMANDS = [
     ["chern", "--blowup", "2,-4"],
     ["moduli"],
     ["ledger"],
+    ["invariants", "--forest", "tests/golden/forest_mixed.json"],
 ]
 
 

@@ -173,6 +173,67 @@ def test_forest_from_json():
         forest_from_json({"nodes": []})
 
 
+def _nodes(*nodes):
+    return {"L2": 4, "nodes": list(nodes)}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([4], "forest input needs 'L2' and 'nodes' keys"),
+    ({"nodes": []}, "forest input needs 'L2' and 'nodes' keys"),
+    ({"L2": 4}, "forest input needs 'L2' and 'nodes' keys"),
+    ({"L2": 4, "nodes": {}}, "'nodes' must be a list of objects"),
+    (_nodes({"id": "a", "d": 2}, "p"), "'nodes' must be a list of objects"),
+    (_nodes({"id": None, "d": 4}), "node id must be a JSON str or int, got None"),
+    (_nodes({"d": 4}), "node id must be a JSON str or int, got None"),
+    (_nodes({"id": 1.5, "d": 4}), "node id must be a JSON str or int, got 1.5"),
+    (_nodes({"id": True, "d": 4}), "node id must be a JSON str or int, got True"),
+    (_nodes({"id": ["p"], "d": 4}), "node id must be a JSON str or int, got ['p']"),
+    (_nodes({"id": "p", "d": 4, "parent": 1.5}),
+     "node p: parent must be a JSON str or int, got 1.5"),
+    (_nodes({"id": "p", "d": 4, "parent": ["q"]}),
+     "node p: parent must be a JSON str or int, got ['q']"),
+    (_nodes({"id": "p", "d": 4, "parent": True}),
+     "node p: parent must be a JSON str or int, got True"),
+    (_nodes({"id": "p", "d": None}), "node p: d must be a JSON int, got None"),
+    (_nodes({"id": "p"}), "node p: d must be a JSON int, got None"),
+    (_nodes({"id": "p", "d": "4"}), "node p: d must be a JSON int, got '4'"),
+    (_nodes({"id": "p", "d": 4.5}), "node p: d must be a JSON int, got 4.5"),
+    (_nodes({"id": "p", "d": True}), "node p: d must be a JSON int, got True"),
+    (_nodes({"id": 7, "d": "4"}), "node 7: d must be a JSON int, got '4'"),
+    ({"L2": "4", "nodes": []}, "L2 must be a JSON int, got '4'"),
+    ({"L2": None, "nodes": []}, "L2 must be a JSON int, got None"),
+    ({"L2": True, "nodes": []}, "L2 must be a JSON int, got True"),
+    # one node with three bad fields: id, then parent, then d
+    (_nodes({"id": 1.5, "d": "x", "parent": 2.5}),
+     "node id must be a JSON str or int, got 1.5"),
+    (_nodes({"id": "p", "d": "x", "parent": 2.5}),
+     "node p: parent must be a JSON str or int, got 2.5"),
+    # every node is read before L2
+    ({"L2": "x", "nodes": [{"id": "p", "d": "x"}]}, "node p: d must be a JSON int, got 'x'"),
+    # int 7 and str "7" name the same node
+    (_nodes({"id": 7, "d": 2}, {"id": "7", "d": 2}), "duplicate node ids"),
+    # two faults: every d and parent is checked before the cycle walk, node by node
+    (_nodes({"id": "a", "d": 2, "parent": "c"}, {"id": "b", "d": 2},
+            {"id": "c", "d": 3, "parent": "a"}),
+     "node c: multiplicity must be even and >= 2, got 3"),
+    (_nodes({"id": "a", "d": 2, "parent": "zz"}, {"id": "b", "d": 3}),
+     "node a: unknown parent zz"),
+    (_nodes({"id": "b", "d": 3}, {"id": "a", "d": 2, "parent": "zz"}),
+     "node b: multiplicity must be even and >= 2, got 3"),
+])
+def test_forest_from_json_error_messages(payload, message):
+    with pytest.raises(ValueError) as err:
+        forest_from_json(payload)
+    assert str(err.value) == message
+
+
+def test_forest_from_json_int_ids_become_strings():
+    l2, f = forest_from_json(_nodes({"id": "c", "d": 2, "parent": 7}, {"id": 7, "d": 4}))
+    assert f.nodes == (ForestNode("c", 2, "7"), ForestNode("7", 4, None))
+    assert f.node("7") == ForestNode("7", 4, None)
+    assert f.max_depth() == 1
+
+
 def test_cover_invariants_json():
     inv = invariants(4, forest([("p", 4)]))
     assert isinstance(inv, CoverInvariants)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from paramod.lattice import Character, character_table, make_lattice, square_roots
 from paramod.paramodular import (
+    _pattern,
     act,
     act_pair,
     gen_J,
@@ -16,6 +17,7 @@ from paramod.paramodular import (
     mat,
     mat_mul,
     member,
+    monodromy_matrix,
     parse_matrix,
     special_generators,
 )
@@ -348,3 +350,34 @@ def test_principal_case_is_plain_symplectic():
 def test_polarization_type_below_one_rejected(d):
     with pytest.raises(ValueError, match=">= 1"):
         is_member(identity(), d=d)
+
+
+# Off-pattern cells come from these values, on-pattern cells are integer
+# multiples of the pattern's own cell; one cell in eight is off-pattern.
+_OFF_PATTERN = tuple(Fraction(x) for x in (
+    "0", "1", "-1", "2", "-2", "3", "4", "6", "1/2", "-1/2", "1/3", "2/3", "3/2", "1/6"))
+
+
+@st.composite
+def _rational_matrices(draw):
+    d = draw(st.integers(1, 6))
+    rows = [[draw(st.sampled_from(_OFF_PATTERN)) if draw(st.integers(0, 7)) == 0
+             else draw(st.integers(-3, 3)) * cell for cell in pat_row]
+            for pat_row in _pattern(d)]
+    return rows, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_matrices())
+def test_pattern_implies_integral_monodromy(case):
+    # N[i][j] = M[j][i] * s_j / s_i: the cells divided by d are column 4 of M,
+    # which the pattern puts in dZ; the cells multiplied by d are row 4, where
+    # only M[4][2] may lie in (1/d)Z.  So no monodromy entry is ever the first
+    # violation.
+    rows, d = case
+    cert = is_member(rows, d)
+    n = monodromy_matrix(mat(rows), d)
+    assert cert.n_integral == all(x.denominator == 1 for row in n for x in row)
+    assert cert.n_integral or not cert.pattern_ok
+    if not cert.pattern_ok:
+        assert "not in" in cert.first_violation[2]

@@ -12,7 +12,9 @@ consecutive-triple-point pair forces a non-minimal resolution.
 
 A forest is validated and indexed once, when it is built, in time linear in
 its node count; lookups after that take constant time, so `invariants` costs
-O(n log n) (the sort of the negligible ids) for n nodes of any depth.
+O(n log n) (the sort of the negligible ids) for n nodes of any depth.  Each
+node costs a constant amount of work in parsing, indexing and scoring, and
+error messages are built only when a check fails.
 """
 
 from __future__ import annotations
@@ -46,10 +48,17 @@ class SingularityForest:
         # Walk up from each node, in order, to a root or a node of known depth,
         # so every node is walked over once.  A node of known depth leads to a
         # root, so the first walk that meets itself starts at the first node
-        # whose full walk up would, and names the same repeated node.
+        # whose full walk up would, and names the same repeated node.  A root,
+        # or a node whose parent's depth is known, needs no walk.
         depths: dict[str, int] = {}
         for n in self.nodes:
             if n.id in depths:
+                continue
+            if n.parent is None:
+                depths[n.id] = 0
+                continue
+            if n.parent in depths:
+                depths[n.id] = depths[n.parent] + 1
                 continue
             path = [n.id]
             on_path = {n.id}
@@ -118,7 +127,7 @@ def detect_33_pairs(f: SingularityForest) -> list[tuple[str, str]]:
         if n.parent is None:
             continue
         p = f.node(n.parent)
-        if p.d >= 2 and n.d == p.d + 2:
+        if n.d == p.d + 2:
             out.append((p.id, n.id))
     out.sort()
     return out
@@ -137,10 +146,13 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
     """
     if L2 <= 0 or L2 % 2 != 0:
         raise ValueError(f"L2 must be even and positive, got {L2}")
-    ms = [n.d // 2 for n in f.nodes]
-    drop_chi = sum(m * (m - 1) for m in ms)
+    drop_chi = drop_k2 = 0
+    for n in f.nodes:
+        m = n.d // 2
+        drop_chi += m * (m - 1)
+        drop_k2 += (m - 1) * (m - 1)
     chi = (L2 - drop_chi) // 2
-    k2 = 2 * L2 - 2 * sum((m - 1) ** 2 for m in ms)
+    k2 = 2 * L2 - 2 * drop_k2
 
     negligible = tuple(sorted(f._negligible))
     pairs = detect_33_pairs(f)
@@ -163,18 +175,16 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
     return CoverInvariants(chi, k2, negligible, bool(pairs), "; ".join(notes))
 
 
-def _json_field(value, types: tuple, what: str):
-    if type(value) not in types:
-        names = " or ".join(t.__name__ for t in types)
-        raise ValueError(f"{what} must be a JSON {names}, got {value!r}")
-    return value
+def _type_error(value, names: str, what: str) -> ValueError:
+    return ValueError(f"{what} must be a JSON {names}, got {value!r}")
 
 
 def forest_from_json(payload: dict) -> tuple[int, SingularityForest]:
     """Parse {"L2": n, "nodes": [{"id", "d", "parent"}]} input.
 
     L2 and every d must be JSON integers, ids and parents strings or
-    integers; anything else raises ValueError.
+    integers; anything else raises ValueError.  Each node is checked for
+    id, then parent, then d; every node is checked before L2.
     """
     if not isinstance(payload, dict) or "L2" not in payload or "nodes" not in payload:
         raise ValueError("forest input needs 'L2' and 'nodes' keys")
@@ -182,11 +192,23 @@ def forest_from_json(payload: dict) -> tuple[int, SingularityForest]:
             isinstance(n, dict) for n in payload["nodes"]):
         raise ValueError("'nodes' must be a list of objects")
     nodes = []
+    # type(x) is, not isinstance: a JSON true is a bool, which must not pass as an int
     for n in payload["nodes"]:
-        node_id = str(_json_field(n.get("id"), (str, int), "node id"))
+        node_id = n.get("id")
+        if type(node_id) is not str:
+            if type(node_id) is not int:
+                raise _type_error(node_id, "str or int", "node id")
+            node_id = str(node_id)
         parent = n.get("parent")
-        if parent is not None:
-            parent = str(_json_field(parent, (str, int), f"node {node_id}: parent"))
-        nodes.append(ForestNode(node_id, _json_field(n.get("d"), (int,), f"node {node_id}: d"),
-                                parent))
-    return _json_field(payload["L2"], (int,), "L2"), SingularityForest(tuple(nodes))
+        if parent is not None and type(parent) is not str:
+            if type(parent) is not int:
+                raise _type_error(parent, "str or int", f"node {node_id}: parent")
+            parent = str(parent)
+        d = n.get("d")
+        if type(d) is not int:
+            raise _type_error(d, "int", f"node {node_id}: d")
+        nodes.append(ForestNode(node_id, d, parent))
+    l2 = payload["L2"]
+    if type(l2) is not int:
+        raise _type_error(l2, "int", "L2")
+    return l2, SingularityForest(tuple(nodes))

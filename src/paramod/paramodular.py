@@ -125,17 +125,12 @@ def _certify(entries, d: int) -> tuple[MembershipCertificate, Mat4, Mat4]:
         if not pattern_ok:
             break
 
+    # N[i][j] = M[j][i] * s_j / s_i, so the pattern makes N integral: the
+    # cells divided by d come from column 4 (in dZ), the cells multiplied by d
+    # from row 4 (only M[4][2] in (1/d)Z).  A non-integral N is therefore
+    # never the first violation.
     n = monodromy_matrix(m, d)
-    n_integral = True
-    for i in range(4):
-        for j in range(4):
-            if n[i][j].denominator != 1:
-                n_integral = False
-                if violation is None:
-                    violation = (i + 1, j + 1, f"monodromy entry {n[i][j]} not integral")
-                break
-        if not n_integral:
-            break
+    n_integral = all(x.denominator == 1 for row in n for x in row)
 
     e = _form_matrix(d)
     preserved = mat_mul(mat_mul(transpose(n), e), n)

@@ -175,10 +175,6 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
     return CoverInvariants(chi, k2, negligible, bool(pairs), "; ".join(notes))
 
 
-def _type_error(value, names: str, what: str) -> ValueError:
-    return ValueError(f"{what} must be a JSON {names}, got {value!r}")
-
-
 def forest_from_json(payload: dict) -> tuple[int, SingularityForest]:
     """Parse {"L2": n, "nodes": [{"id", "d", "parent"}]} input.
 
@@ -197,18 +193,19 @@ def forest_from_json(payload: dict) -> tuple[int, SingularityForest]:
         node_id = n.get("id")
         if type(node_id) is not str:
             if type(node_id) is not int:
-                raise _type_error(node_id, "str or int", "node id")
+                raise ValueError(f"node id must be a JSON str or int, got {node_id!r}")
             node_id = str(node_id)
         parent = n.get("parent")
         if parent is not None and type(parent) is not str:
             if type(parent) is not int:
-                raise _type_error(parent, "str or int", f"node {node_id}: parent")
+                raise ValueError(
+                    f"node {node_id}: parent must be a JSON str or int, got {parent!r}")
             parent = str(parent)
         d = n.get("d")
         if type(d) is not int:
-            raise _type_error(d, "int", f"node {node_id}: d")
+            raise ValueError(f"node {node_id}: d must be a JSON int, got {d!r}")
         nodes.append(ForestNode(node_id, d, parent))
     l2 = payload["L2"]
     if type(l2) is not int:
-        raise _type_error(l2, "int", "L2")
+        raise ValueError(f"L2 must be a JSON int, got {l2!r}")
     return l2, SingularityForest(tuple(nodes))

@@ -240,6 +240,26 @@ def _reference_group(perms, degree):
     return elements
 
 
+@pytest.mark.parametrize("name,order,sizes,transitive", [
+    ("characters2", 576, (1, 3, 12), False),
+    ("psi12", 576, (12,), True),
+    ("pairs48", 4608, (48,), True),
+])
+def test_closure_of_standard_sets(name, order, sizes, transitive):
+    lset, perms, _ = standard_set(name)
+    degree = len(lset.elements)
+    report = group_closure(perms, degree)
+    assert report == (order, False, transitive, sizes)
+    if degree <= 16:
+        assert len(_reference_group(perms, degree)) == order
+
+
+def test_closure_of_a_256_cycle():
+    cycle = Permutation(tuple(range(1, 256)) + (0,))
+    report = group_closure([cycle], 256)
+    assert report == (256, False, True, (256,))
+
+
 @settings(deadline=None)
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
            st.just(n), st.lists(st.permutations(range(n)), max_size=4))),

@@ -3,13 +3,13 @@
 One breadth-first engine, :func:`orbit`, serves every orbit computation here:
 the orbit partition of a labeled set, the point orbits of a permutation
 group and the enumeration of the group itself: the orbit of the identity
-image tuple under right multiplication, each generator applied as one
-``operator.itemgetter``.  States are opaque orderable values, generators are
-opaque, and the action takes the generator first, ``action(gen, state)``:
-the argument order of ``act``, ``act_pair`` and ``Permutation.compose``.
-Determinism is part of the contract: each BFS layer is sorted by state, so
-orbit listings, witness words and serialized reports are byte-stable across
-runs.
+under left multiplication on byte strings, each generator applied as one
+``bytes.translate``, for at most 256 points.  States are opaque orderable
+values, generators are opaque, and the action takes the generator first,
+``action(gen, state)``: the argument order of ``act``, ``act_pair`` and
+``Permutation.compose``.  Determinism is part of the contract: each BFS layer
+is sorted by state, so orbit listings, witness words and serialized reports
+are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class ClosureReport(NamedTuple):
     orbit_sizes: tuple[int, ...]
 
 
-def _apply(step: Callable, state):
-    return step(state)
+def _translate(table: bytes, state: bytes) -> bytes:
+    return state.translate(table)
 
 
 def group_closure(
@@ -200,22 +200,24 @@ def group_closure(
 ) -> ClosureReport:
     """Enumerate the generated permutation group, up to a safety cap.
 
-    Elements are image tuples.  Each generator g is one itemgetter that maps
-    s to s∘g in a single call, so the search walks the right Cayley graph from
-    the identity; it reaches the same group, and a truncated run holds exactly
-    cap + 1 elements as with any orbit.  Transitivity and point-orbit sizes
-    only need the generators, so they are reported even when the closure
-    itself is truncated.
+    An element s is the byte string of its images, and each generator g is
+    one 256-byte translation table, so ``s.translate(table)`` is g∘s in a
+    single call: the search walks the left Cayley graph from the identity.
+    It reaches the same group, and a truncated run holds exactly cap + 1
+    elements as with any orbit.  A byte holds a value below 256, so degrees
+    above 256 raise ValueError.  Transitivity and point-orbit sizes only
+    need the generators, so they are reported even when the closure itself
+    is truncated.
     """
+    if degree > 256:
+        raise ValueError(f"degree {degree} exceeds the 256 points a closure can hold")
     for p in perms:
         if p.degree != degree:
             raise ValueError(f"permutation of degree {p.degree}, expected {degree}")
 
     sizes = _partition(degree, [p.images for p in perms]).sizes()
-    # itemgetter returns a tuple only for two or more indices; on fewer
-    # points every permutation is the identity and the group is trivial
-    steps = [operator.itemgetter(*p.images) for p in perms] if degree > 1 else []
-    elements, truncated = orbit(tuple(range(degree)), steps, _apply, cap)
+    tables = [bytes(p.images) + bytes(256 - degree) for p in perms]
+    elements, truncated = orbit(bytes(range(degree)), tables, _translate, cap)
     return ClosureReport(len(elements), truncated, sizes == [degree], tuple(sizes))
 
 

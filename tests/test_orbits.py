@@ -260,6 +260,12 @@ def test_closure_of_a_256_cycle():
     assert report == (256, False, True, (256,))
 
 
+def test_closure_above_256_points_names_the_limit():
+    # elements are byte strings, so an image must fit in one byte
+    with pytest.raises(ValueError, match="degree 257 exceeds the 256 points"):
+        group_closure([Permutation.identity(257)], 257)
+
+
 @settings(deadline=None)
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
            st.just(n), st.lists(st.permutations(range(n)), max_size=4))),

@@ -23,6 +23,7 @@ from paramod.lattice import (
     character_to_json,
     make_lattice,
     parse_character,
+    parse_int,
 )
 from paramod.paramodular import (
     act,
@@ -41,9 +42,16 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
         sys.stdout.write("\n".join(text_lines(payload)) + "\n")
 
 
+def _int(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
@@ -94,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", help="named generator: b(1,0,0), d(1,0,1,1), J, ...")
     p.add_argument("--char", required=True,
                    help="character label (chi0..chi3, psi1..psi12) or 4 exponents")
-    p.add_argument("--n", type=int, default=2, choices=(2, 4),
+    p.add_argument("--n", type=_int, default=2, choices=(2, 4),
                    help="character order bound (default 2)")
 
     p = sub.add_parser("classify", help="surface type from a torsion datum (module: classifier)",
@@ -265,7 +273,7 @@ def _parse_ints(text: str, count: int, what: str) -> list[int]:
     if len(parts) != count:
         raise ValueError(f"expected {count} comma-separated integers for {what}")
     try:
-        return [int(p) for p in parts]
+        return [parse_int(p) for p in parts]
     except ValueError:
         raise ValueError(f"non-integer value in {what}: {text!r}") from None
 

@@ -15,6 +15,7 @@ display format, see :meth:`Character.values`.
 from __future__ import annotations
 
 import functools
+import re
 from itertools import product
 from typing import NamedTuple
 
@@ -198,6 +199,22 @@ def character_to_json(table: CharacterTable | None, c: Character) -> dict:
     return out
 
 
+# ASCII digits, for a label index, and an optional sign before them, for
+# every other integer field.  int() alone also reads "1_0" as 10, non-ASCII
+# digits such as "\u0661" as 1, and "-0" in a label as index 0.
+DIGITS = "[0-9]+"
+_INDEX = re.compile(DIGITS)
+_INTEGER = re.compile("[+-]?" + DIGITS)
+
+
+def parse_int(text: str, signed: bool = True) -> int:
+    """The integer text spells after strip(); ValueError outside the grammar."""
+    text = text.strip()
+    if (_INTEGER if signed else _INDEX).fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_character(text: str, n: int, table: CharacterTable | None = None) -> Character:
     """Parse 'chi1' / 'psi7' labels or a comma-separated exponent vector."""
     text = text.strip()
@@ -205,7 +222,7 @@ def parse_character(text: str, n: int, table: CharacterTable | None = None) -> C
         block = table.chi if text.startswith("chi") else table.psi
         offset = 0 if text.startswith("chi") else -1
         try:
-            idx = int(text[3:]) + offset
+            idx = parse_int(text[3:], signed=False) + offset
         except ValueError:
             raise ValueError(f"malformed character label {text!r}") from None
         if not 0 <= idx < len(block):
@@ -216,7 +233,7 @@ def parse_character(text: str, n: int, table: CharacterTable | None = None) -> C
     if len(parts) != 4:
         raise ValueError(f"expected 4 comma-separated exponents, got {text!r}")
     try:
-        exps = tuple(int(p) for p in parts)
+        exps = tuple(map(parse_int, parts))
     except ValueError:
         raise ValueError(f"non-integer exponent in {text!r}") from None
     return Character(n, exps)

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from paramod.lattice import Character
+from paramod.lattice import DIGITS, Character
 
 Mat4 = tuple[tuple[Fraction, ...], ...]
 IntMat4 = tuple[tuple[int, ...], ...]
@@ -256,7 +256,7 @@ def act_pair(
 # An optional sign, ASCII digits and an optional /digits.  No exponent
 # notation: Fraction("1e1000000") builds a million-digit integer from nine
 # characters, while here an entry's digits are bounded by its length.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(f"[+-]?{DIGITS}(?:/{DIGITS})?")
 
 
 def parse_matrix(text: str) -> Mat4:

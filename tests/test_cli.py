@@ -262,6 +262,32 @@ def test_integer_options_below_one_exit_2(argv, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["act", "--gen", "J", "--char", "psi1_0"], "malformed character label 'psi1_0'"),
+    (["act", "--gen", "J", "--char", "psi\u0661"], "malformed character label"),
+    (["act", "--gen", "J", "--char", "chi-0"], "malformed character label 'chi-0'"),
+    (["classify", "--Q", "chi1", "--root", "psi+5"], "malformed character label 'psi+5'"),
+    (["act", "--gen", "J", "--char", "1_0,0,0,0"], "non-integer exponent"),
+    (["act", "--gen", "J", "--char", "psi1", "--n", "0_4"], "invalid int value: '0_4'"),
+    (["chern", "--bundle", "1_0,\u0662,3"], "non-integer value in --bundle"),
+    (["chern", "--blowup", "2,\u0664"], "non-integer value in --blowup"),
+    (["orbits", "--set", "psi12", "--closure", "--cap", "1_0"],
+     "expected an integer, got '1_0'"),
+    (["membership", "--matrix", _IDENTITY, "--d", "\u0662"], "expected an integer"),
+], ids=["label-underscore", "label-non-ascii-digit", "label-minus", "label-plus",
+        "exponent-underscore", "n-underscore", "bundle", "blowup", "cap", "d"])
+def test_integer_field_outside_grammar_exits_2(capsys, argv, message):
+    # integer fields are ASCII digits, with an optional sign except in a label
+    # index, as --matrix entries are; int() alone would read psi1_0 as psi10
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("payload", [
     {"L2": 4, "nodes": [{"id": "p", "d": None}]},
     {"L2": 4, "nodes": [{"id": "p", "d": "4"}]},

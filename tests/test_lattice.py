@@ -223,6 +223,16 @@ def test_parse_character():
         parse_character("psi13", 2, table)
     with pytest.raises(ValueError):
         parse_character("1,2", 2, table)
+    # fields are ASCII digits after strip(), exponents with an optional sign;
+    # int() alone reads "psi1_0" as psi10, "psi\u0661" as psi1, "chi-0" as chi0
+    assert parse_character(" -1, +2 ,0,3", 4) == Character(4, (3, 2, 0, 3))
+    assert parse_character(" psi 1 ", 2, table) == table.psi[0]
+    for text in ("psi1_0", "psi\u0661", "chi-0", "psi+1"):
+        with pytest.raises(ValueError, match="malformed character label"):
+            parse_character(text, 2, table)
+    for text in ("1_0,0,0,0", "0,0,\u0661,0"):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            parse_character(text, 2, table)
 
 
 def test_character_rejects_bad_order():

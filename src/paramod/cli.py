@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from paramod import chern, classifier, doublecover, orbits
 from paramod.errors import ConsistencyError
@@ -35,9 +36,59 @@ from paramod.paramodular import (
 )
 
 
+def _json_parts(value, newline: str, parts: list) -> None:
+    """Append the text of json.dumps(value, sort_keys=True, indent=2) to parts.
+
+    newline is "\\n" plus the indent of the line value starts on.  Only str,
+    int, bool, None, dict with str keys, list and tuple are written; anything
+    else raises TypeError, as json.dumps does for a type it cannot serialize.
+    """
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator)
+            parts.append(_quote(key))
+            parts.append(": ")
+            _json_parts(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _json_parts(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        parts = []
+        _json_parts(payload, "\n", parts)
+        parts.append("\n")
+        sys.stdout.write("".join(parts))
     else:
         sys.stdout.write("\n".join(text_lines(payload)) + "\n")
 
@@ -377,7 +428,15 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
-    _emit(payload, args.format, text_renderer)
+    try:
+        _emit(payload, args.format, text_renderer)
+    except UnicodeEncodeError as exc:
+        # only text output carries input text raw, such as a lone surrogate in a
+        # forest node id; stdout encodes the whole string before writing any of it
+        bad = exc.object[exc.start:exc.end]
+        sys.stderr.write(f"invalid input: {bad!r} cannot be written as {exc.encoding} "
+                         "text; --format json escapes it\n")
+        return 2
     return 0
 
 

@@ -66,11 +66,6 @@ class Character(_CharacterFields):
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def mul(self, other: "Character") -> "Character":
-        if self.n != other.n:
-            raise ValueError("cannot multiply characters of different order bounds")
-        return Character(self.n, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def square(self) -> "Character":
         """Square of the character, reduced back to an order-2 character.
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -167,6 +168,29 @@ def test_invariants_missing_file(capsys):
     code, _, err = run_cli(capsys, ["invariants", "--forest", "/nonexistent.json"])
     assert code == 2
     assert "invalid input" in err
+
+
+def test_invariants_lone_surrogate_id(tmp_path):
+    # valid JSON whose negligible node id is a lone surrogate: the JSON format
+    # escapes it; UTF-8 text cannot hold it, so text output is bad input.  A
+    # subprocess, because only a real stdout encodes what it is given
+    forest = tmp_path / "surrogate.json"
+    forest.write_text('{"L2": 8, "nodes": [{"id": "p", "d": 4},'
+                      ' {"id": "\\ud800", "d": 2, "parent": "p"}]}', encoding="ascii")
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+
+    def run(*fmt):
+        return subprocess.run([sys.executable, "-m", "paramod", *fmt, "invariants",
+                               "--forest", str(forest)], capture_output=True, env=env)
+
+    text = run("--format", "text")
+    assert (text.returncode, text.stdout) == (2, b"")
+    assert text.stderr.decode() == ("invalid input: '\\ud800' cannot be written as utf-8 "
+                                    "text; --format json escapes it\n")
+    out = run()
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert b'"\\ud800"' in out.stdout
+    assert json.loads(out.stdout)["negligible_ids"] == ["\ud800"]
 
 
 def test_chern_bundle(capsys):
@@ -395,6 +419,40 @@ def test_importing_cli_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == []
+
+
+# -- JSON emission ------------------------------------------------------------------
+
+def emitted(value) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(value, "json", None)
+    return out.getvalue()
+
+
+_TEXT = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "é", " ", "\ud800", "\udfff",
+     "\U0001f600"]))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**100, 2**100) | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_emitter_matches_json_dumps(value):
+    assert emitted(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0, [0.0]], {"a": {"b": float("nan")}}, {1: 2}, {"a": {None: 0}}, {True: 0},
+    {"a": object()}, [{1, 2}],
+], ids=["float", "nested-float", "nan", "int-key", "none-key", "bool-key", "object", "set"])
+def test_emitter_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        emitted(value)
 
 
 # -- exit-code contract under fuzzing ---------------------------------------------

@@ -3,10 +3,14 @@
 Every subcommand fronts one library module and emits machine-readable JSON
 by default (--format text renders labels and cycle notation for humans).
 Output is byte-stable for fixed arguments: keys are sorted, no timestamps,
-no environment lookups.
+no environment lookups.  The JSON is byte for byte what
+json.dumps(payload, sort_keys=True, indent=2) gives; _json_parts writes it,
+because CPython 3.11's C encoder cannot indent and json.dumps would run its
+pure-Python encoder instead.
 
-Exit codes: 0 success, 2 input validation failure, 1 internal cross-check
-failure (which indicates a bug, never a bad input).
+Exit codes: 0 success, 2 input validation failure (including text output
+that stdout cannot encode), 1 internal cross-check failure (which indicates
+a bug, never a bad input).
 """
 
 from __future__ import annotations
@@ -60,10 +64,8 @@ def _json_parts(value, newline: str, parts: list) -> None:
         inner = newline + "  "
         separator = "{" + inner
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             parts.append(separator)
-            parts.append(_quote(key))
+            parts.append(_quote(key))  # TypeError unless key is a str
             parts.append(": ")
             _json_parts(value[key], inner, parts)
             separator = "," + inner

@@ -447,9 +447,8 @@ def test_emitter_matches_json_dumps(value):
 
 
 @pytest.mark.parametrize("value", [
-    1.5, [0, [0.0]], {"a": {"b": float("nan")}}, {1: 2}, {"a": {None: 0}}, {True: 0},
-    {"a": object()}, [{1, 2}],
-], ids=["float", "nested-float", "nan", "int-key", "none-key", "bool-key", "object", "set"])
+    1.5, [0, {"a": [0.0]}], {1: 2}, {"a": {True: 0}}, [{1, 2}],
+], ids=["float", "nested-float", "int-key", "nested-bool-key", "set"])
 def test_emitter_rejects_other_types(value):
     with pytest.raises(TypeError):
         emitted(value)

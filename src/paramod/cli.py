@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -311,11 +312,21 @@ def _cmd_invariants(args) -> dict:
     return out
 
 
+# a non-empty node id with no whitespace, control character (category Cc) or
+# quote; any other id could forge a report line or blur the space-separated list
+_PLAIN_ID = re.compile(r'[^\s\x00-\x1f\x7f-\x9f"]+')
+
+
+def _id_text(node_id: str) -> str:
+    """A node id as text output writes it: raw when plain, else as a JSON string."""
+    return node_id if _PLAIN_ID.fullmatch(node_id) else _quote(node_id)
+
+
 def _invariants_text(payload: dict):
     lines = [f"L2 = {payload['L2']}: chi = {payload['chi']},"
              f" K^2 (resolved) = {payload['K2_resolved']}"]
     if payload["negligible_ids"]:
-        lines.append(f"  negligible: {' '.join(payload['negligible_ids'])}")
+        lines.append(f"  negligible: {' '.join(map(_id_text, payload['negligible_ids']))}")
     if payload["minimality_note"]:
         lines.append(f"  note: {payload['minimality_note']}")
     return lines

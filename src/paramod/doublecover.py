@@ -10,11 +10,13 @@ branched over a curve of class with self-intersection L2 gives
 and the forest shape decides which points are negligible and whether a
 consecutive-triple-point pair forces a non-minimal resolution.
 
-A forest is validated and indexed once, when it is built, in time linear in
-its node count; lookups after that take constant time, so `invariants` costs
-O(n log n) (the sort of the negligible ids) for n nodes of any depth.  Each
-node costs a constant amount of work in parsing, indexing and scoring, and
-error messages are built only when a check fails.
+A forest is validated and scored in one pass when it is built: the loop
+that checks each node's d and parent also adds its chi and K^2 drops, its
+(2d, 2d+2) pair with its parent and, when it can, its depth.  Construction
+costs O(n log n) for n nodes of any depth (the sorts of the pairs and the
+negligible ids); lookups after that take constant time, and `invariants`
+and `detect_33_pairs` read the stored results.  Error messages are built
+only when a check fails.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ class ForestNode(NamedTuple):
 class SingularityForest:
     """Infinitely-near branch points; parent means 'in the first neighborhood of'.
 
-    Construction validates the forest and indexes it once: the id -> node
-    map, the maximal depth and the negligible ids.
+    Construction validates the forest and scores it in one pass over the nodes:
+    the id -> node map, the chi and K^2 drops, the (2d, 2d+2) pairs, the
+    maximal depth and the negligible ids are stored, and `invariants` and
+    `detect_33_pairs` read them.
     """
 
     def __init__(self, nodes: tuple[ForestNode, ...]) -> None:
@@ -40,25 +44,40 @@ class SingularityForest:
         by_id = {n.id: n for n in self.nodes}
         if len(by_id) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        for n in self.nodes:
-            if n.d < 2 or n.d % 2 != 0:
-                raise ValueError(f"node {n.id}: multiplicity must be even and >= 2, got {n.d}")
-            if n.parent is not None and n.parent not in by_id:
-                raise ValueError(f"node {n.id}: unknown parent {n.parent}")
-        # Walk up from each node, in order, to a root or a node of known depth,
-        # so every node is walked over once.  A node of known depth leads to a
-        # root, so the first walk that meets itself starts at the first node
-        # whose full walk up would, and names the same repeated node.  A root,
-        # or a node whose parent's depth is known, needs no walk.
+        # One pass checks each node's d and parent and scores it: its drops, its
+        # pair with its parent, and its depth when it is a root or its parent's
+        # depth is already known.  The other nodes wait for the walk below, which
+        # runs only once every node has passed its checks.
+        drop_chi = drop_k2 = 0
+        pairs = []
         depths: dict[str, int] = {}
+        unplaced = []
         for n in self.nodes:
-            if n.id in depths:
-                continue
-            if n.parent is None:
+            d = n.d
+            if d < 2 or d % 2 != 0:
+                raise ValueError(f"node {n.id}: multiplicity must be even and >= 2, got {d}")
+            m = d // 2
+            drop_chi += m * (m - 1)
+            drop_k2 += (m - 1) * (m - 1)
+            parent = n.parent
+            if parent is None:
                 depths[n.id] = 0
                 continue
-            if n.parent in depths:
-                depths[n.id] = depths[n.parent] + 1
+            p = by_id.get(parent)
+            if p is None:
+                raise ValueError(f"node {n.id}: unknown parent {parent}")
+            if d == p.d + 2:
+                pairs.append((p.id, n.id))
+            if parent in depths:
+                depths[n.id] = depths[parent] + 1
+            else:
+                unplaced.append(n)
+        # Walk up from each unplaced node, in order, to a root or a node of known
+        # depth, so every node is walked over once.  A node of known depth leads
+        # to a root, so the first walk that meets itself starts at the first node
+        # whose full walk up would, and names the same repeated node.
+        for n in unplaced:
+            if n.id in depths:
                 continue
             path = [n.id]
             on_path = {n.id}
@@ -83,9 +102,13 @@ class SingularityForest:
             while cur is not None and cur not in heavy:
                 heavy.add(cur)
                 cur = by_id[cur].parent
+        pairs.sort()
         self._by_id = by_id
         self._max_depth = max(depths.values(), default=0)
-        self._negligible = frozenset(by_id.keys() - heavy)
+        self._heavy = heavy
+        self._negligible_ids = tuple(sorted(by_id.keys() - heavy))
+        self._drops = (drop_chi, drop_k2)
+        self._pairs = pairs
 
     def node(self, node_id: str) -> ForestNode:
         try:
@@ -113,7 +136,7 @@ class CoverInvariants(NamedTuple):
 def is_negligible(f: SingularityForest, node_id: str) -> bool:
     """d = 2 at the point and d <= 2 at every point infinitely near to it."""
     f.node(node_id)  # KeyError for an unknown id
-    return node_id in f._negligible
+    return node_id not in f._heavy
 
 
 def detect_33_pairs(f: SingularityForest) -> list[tuple[str, str]]:
@@ -122,15 +145,7 @@ def detect_33_pairs(f: SingularityForest) -> list[tuple[str, str]]:
     The d = 1 instance is the triple-point-with-infinitely-near-triple-point
     configuration whose resolution carries a (-1)-curve.
     """
-    out = []
-    for n in f.nodes:
-        if n.parent is None:
-            continue
-        p = f.node(n.parent)
-        if n.d == p.d + 2:
-            out.append((p.id, n.id))
-    out.sort()
-    return out
+    return list(f._pairs)
 
 
 def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
@@ -146,16 +161,11 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
     """
     if L2 <= 0 or L2 % 2 != 0:
         raise ValueError(f"L2 must be even and positive, got {L2}")
-    drop_chi = drop_k2 = 0
-    for n in f.nodes:
-        m = n.d // 2
-        drop_chi += m * (m - 1)
-        drop_k2 += (m - 1) * (m - 1)
+    drop_chi, drop_k2 = f._drops
     chi = (L2 - drop_chi) // 2
     k2 = 2 * L2 - 2 * drop_k2
-
-    negligible = tuple(sorted(f._negligible))
-    pairs = detect_33_pairs(f)
+    negligible = f._negligible_ids
+    pairs = f._pairs
 
     notes = []
     if pairs:
@@ -204,7 +214,8 @@ def forest_from_json(payload: dict) -> tuple[int, SingularityForest]:
         d = n.get("d")
         if type(d) is not int:
             raise ValueError(f"node {node_id}: d must be a JSON int, got {d!r}")
-        nodes.append(ForestNode(node_id, d, parent))
+        # the fields are checked above; ForestNode.__new__ would only bind them
+        nodes.append(tuple.__new__(ForestNode, (node_id, d, parent)))
     l2 = payload["L2"]
     if type(l2) is not int:
         raise ValueError(f"L2 must be a JSON int, got {l2!r}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,41 @@ def test_invariants_lone_surrogate_id(tmp_path):
     assert (out.returncode, out.stderr) == (0, b"")
     assert b'"\\ud800"' in out.stdout
     assert json.loads(out.stdout)["negligible_ids"] == ["\ud800"]
+
+
+def _invariants_text_lines(capsys, tmp_path, nodes):
+    forest = tmp_path / "forest.json"
+    forest.write_text(json.dumps({"L2": 8, "nodes": nodes}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["--format", "text", "invariants", "--forest", str(forest)])
+    assert (code, err) == (0, "")
+    return out.splitlines()
+
+
+def test_invariants_text_quotes_id_with_newline(capsys, tmp_path):
+    # an id holding a newline is written as a JSON string, so it cannot forge a line
+    forged = "a b\nL2 = 99: chi = 7"
+    lines = _invariants_text_lines(capsys, tmp_path, [{"id": "p", "d": 4},
+                                                      {"id": forged, "d": 2, "parent": "p"},
+                                                      {"id": "q", "d": 2, "parent": "p"}])
+    assert lines == ["L2 = 8: chi = 3, K^2 (resolved) = 14",
+                     '  negligible: "a b\\nL2 = 99: chi = 7" q']
+
+
+def test_invariants_text_quotes_id_with_space(capsys, tmp_path):
+    lines = _invariants_text_lines(capsys, tmp_path, [{"id": "x y", "d": 2},
+                                                      {"id": "z", "d": 2}])
+    assert lines[1] == '  negligible: "x y" z'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=6))
+def test_id_text_raw_only_when_plain(node_id):
+    plain = bool(node_id) and not any(
+        c.isspace() or unicodedata.category(c) == "Cc" or c == '"' for c in node_id)
+    written = cli._id_text(node_id)
+    assert (written == node_id) == plain
+    if not plain:
+        assert json.loads(written) == node_id
 
 
 def test_chern_bundle(capsys):

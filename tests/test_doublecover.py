@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import forest_reference
+
 from paramod.doublecover import (
     CoverInvariants,
     ForestNode,
@@ -341,6 +343,100 @@ def test_parent_cycle_below_a_tail_names_the_entry():
     nodes = [("x", 2, "a"), ("b", 2, "a"), ("a", 2, "b")]
     with pytest.raises(ValueError, match="^parent cycle through a$"):
         forest(nodes)
+
+
+# -- fault order: several faults at once, against the reference checks -------------
+
+
+def _first_error(build) -> str | None:
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def faulty_nodes(draw, max_nodes=8):
+    """(id, d, parent) tuples with any mix of duplicate ids, odd or small d,
+    unknown parents and parent cycles, in shuffled order."""
+    n = draw(st.integers(1, max_nodes))
+    nodes = []
+    for k in range(n):
+        parent = draw(st.none() | st.integers(0, k - 1)) if k else None
+        nodes.append([str(k), draw(st.sampled_from((2, 4, 6))),
+                      None if parent is None else str(parent)])
+    index = st.integers(0, n - 1)
+    for fault in draw(st.lists(st.sampled_from(("duplicate", "bad_d", "unknown_parent",
+                                                "cycle")), max_size=5)):
+        node = nodes[draw(index)]
+        if fault == "duplicate":
+            node[0] = nodes[draw(index)][0]
+        elif fault == "bad_d":
+            node[1] = draw(st.sampled_from((-2, 0, 1, 3, 5)))
+        elif fault == "unknown_parent":
+            node[2] = "zz"
+        else:  # node and other name each other as parent (node itself when equal)
+            other = nodes[draw(index)]
+            node[2], other[2] = other[0], node[0]
+    return [tuple(nodes[k]) for k in draw(st.permutations(range(n)))]
+
+
+@st.composite
+def faulty_payloads(draw):
+    """Forest JSON over faulty_nodes, with ids, parents, d or L2 of the wrong
+    JSON type, and int ids that name the same node as a str id."""
+    nodes = []
+    for node_id, d, parent in draw(faulty_nodes()):
+        node = {"id": node_id, "d": d}
+        if parent is not None:
+            node["parent"] = parent
+        nodes.append(node)
+    l2 = 8
+    for fault in draw(st.lists(st.sampled_from(("int_id", "int_parent", "id_type",
+                                                "parent_type", "d_type", "l2_type")),
+                               max_size=4)):
+        node = nodes[draw(st.integers(0, len(nodes) - 1))]
+        if fault == "int_id" and str(node.get("id")).isdigit():
+            node["id"] = int(node["id"])
+        elif fault == "int_parent" and str(node.get("parent")).isdigit():
+            node["parent"] = int(node["parent"])
+        elif fault == "id_type":
+            node["id"] = draw(st.sampled_from((None, 1.5, True, ["p"])))
+        elif fault == "parent_type":
+            node["parent"] = draw(st.sampled_from((1.5, False, ["q"])))
+        elif fault == "d_type":
+            node["d"] = draw(st.sampled_from((None, "4", 4.5, True)))
+        elif fault == "l2_type":
+            l2 = draw(st.sampled_from(("4", None, True)))
+    return {"L2": l2, "nodes": nodes}
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_nodes())
+def test_forest_fault_order_matches_reference(nodes):
+    expected = _first_error(lambda: forest_reference.check_nodes(nodes))
+    assert _first_error(lambda: forest(nodes)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_payloads())
+def test_forest_from_json_fault_order_matches_reference(payload):
+    expected = _first_error(lambda: forest_reference.check_payload(payload))
+    assert _first_error(lambda: forest_from_json(payload)) == expected
+
+
+def test_stored_results_are_not_shared():
+    f = forest([("p", 4), ("q", 6, "p"), ("r", 2)])
+    inv = invariants(8, f)
+    first, second = detect_33_pairs(f), detect_33_pairs(f)
+    assert first == second == [("p", "q")]
+    assert first is not second
+    first.append(("r", "p"))
+    second.clear()
+    assert detect_33_pairs(f) == [("p", "q")]
+    assert invariants(8, f) == inv
+    assert inv.has_33_pair and "pair(s) [('p', 'q')]" in inv.minimality_note
 
 
 def test_node_unknown_id_message():

@@ -10,7 +10,8 @@ even for all integers, so every halving below is exact.
 
 Euler characteristics are exact integers throughout; h-vectors that plain
 Riemann-Roch cannot see (the torsion-membership splits) are stored as data in
-the dimension ledger and verified against chi.
+the dimension ledger, which lists each object once with its chi and the
+h-vector of each of its conditions, and verified against that chi.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ def dual(v: ChernDatum) -> ChernDatum:
     return ChernDatum(v.rank, -v.c1, v.c2)
 
 
-def det(v: ChernDatum) -> ChernDatum:
-    return ChernDatum(1, v.c1, 0)
-
-
 def tensor_line(v: ChernDatum, m: int) -> ChernDatum:
     """Twist by a line bundle of class m*L (m = 0 covers degree-0 twists)."""
     r = v.rank
@@ -93,6 +90,11 @@ def ideal_point_chi_correction(k: int) -> int:
     if k < 0:
         raise ValueError("ideal power must be >= 0")
     return -(k * (k + 1) // 2)
+
+
+def _chi_ideal(a: int, k: int) -> int:
+    """chi(aL (x) I_p^k): a line bundle of class a*L times a point's ideal power."""
+    return chi_abelian(ChernDatum(1, a, 0)) + ideal_point_chi_correction(k)
 
 
 def ext_bundle() -> ChernDatum:
@@ -164,123 +166,75 @@ class LedgerRow(NamedTuple):
 
 
 def _checked_row(obj, condition, kind, h, chi) -> LedgerRow:
-    h0, h1, h2 = h
-    if kind == "surface" and None not in (h0, h1, h2) and h0 - h1 + h2 != chi:
+    # a curve has no h2; an entry left open (None) skips the check
+    entries = h[:2] if kind == "curve" else h
+    if None not in entries and sum(entries[::2]) - sum(entries[1::2]) != chi:
         raise ConsistencyError(f"{obj} [{condition}]: h-vector {h} does not sum to chi={chi}")
-    if kind == "curve" and None not in (h0, h1) and h0 - h1 != chi:
-        raise ConsistencyError(f"{obj} [{condition}]: h-vector {h} does not sum to chi={chi}")
-    return LedgerRow(obj, condition, kind, h0, h1, h2, chi)
+    return LedgerRow(obj, condition, kind, *h, chi)
 
 
 def dimension_ledger() -> list[LedgerRow]:
     """Every cohomology dimension vector the classification relies on.
 
-    Each row's chi is recomputed from the calculators in this module (plus
-    short-exact-sequence replays for the blow-up tangent rows); a mismatch
-    with the stated h-vector is a hard ConsistencyError.
+    Each object's chi is recomputed once from the calculators in this module
+    (plus short-exact-sequence replays for the blow-up tangent rows) and
+    checked against the stated h-vector of each of its conditions; a mismatch
+    is a hard ConsistencyError.
     """
-    rows = []
-    f = ext_bundle()
-
-    rows.append(_checked_row(
-        "ext_bundle", "any", "surface", (1, 0, 0), chi_abelian(f)))
-
-    chi_s2 = chi_abelian(sym2_adjoint())
-    rows.append(_checked_row(
-        "sym2_adjoint (x) torsion", "torsion not in image^x", "surface",
-        (0, 0, 0), chi_s2))
-    rows.append(_checked_row(
-        "sym2_adjoint (x) torsion", "torsion in image^x", "surface",
-        (1, 2, 1), chi_s2))
-
-    chi_s3 = chi_abelian(sym3_adjoint())
-    rows.append(_checked_row(
-        "sym3_adjoint (x) torsion", "any torsion twist", "surface",
-        (2, 0, 0), chi_s3))
-
-    chi_nodal = chi_abelian(ChernDatum(1, 1, 0)) + ideal_point_chi_correction(2)
-    rows.append(_checked_row(
-        "L (x) torsion (x) I_p^2, p a base point", "twist ratio not in image^x",
-        "surface", (0, None, None), chi_nodal))
-    rows.append(_checked_row(
-        "L (x) torsion (x) I_p^2, p a base point", "twist ratio in image^x",
-        "surface", (1, None, None), chi_nodal))
-
-    chi_triple = chi_abelian(ChernDatum(1, 2, 0)) + ideal_point_chi_correction(3)
-    rows.append(_checked_row(
-        "L^2 (x) torsion (x) I_o^3", "torsion not in image^x", "surface",
-        (2, None, None), chi_triple))
-    rows.append(_checked_row(
-        "L^2 (x) torsion (x) I_o^3", "torsion in image^x", "surface",
-        (3, None, None), chi_triple))
-
-    chi_quad = chi_abelian(ChernDatum(1, 2, 0)) + ideal_point_chi_correction(4)
-    rows.append(_checked_row(
-        "L^2 (x) torsion (x) I_o^4", "torsion trivial", "surface",
-        (2, None, None), chi_quad))
-    rows.append(_checked_row(
-        "L^2 (x) torsion (x) I_o^4", "torsion in image^x", "surface",
-        (1, None, None), chi_quad))
-    rows.append(_checked_row(
-        "L^2 (x) torsion (x) I_o^4", "torsion outside image", "surface",
-        (0, None, None), chi_quad))
-
     chi_lb_inv = chi_blowup_line(BlowupLineBundle(-1, 2))
-    rows.append(_checked_row(
-        "inverse cover root on blow-up", "nontrivial square root", "surface",
-        (0, 0, 1), chi_lb_inv))
-
     # tangent of the blow-up: 0 -> T_B -> pullback T_A -> O_E(-E) -> 0
     chi_tb = chi_abelian(ChernDatum(2, 0, 0)) - curve_rr(0, 1)
-    rows.append(_checked_row(
-        "blow-up tangent", "any", "surface", (0, 4, 2), chi_tb))
-
     # the same sequence twisted by the inverse cover root; the quotient
     # becomes O_E(E) (degree -1 on the exceptional line)
     chi_tb_twist = 2 * chi_lb_inv - curve_rr(0, -1)
-    rows.append(_checked_row(
-        "blow-up tangent (x) inverse root", "nontrivial square root", "surface",
-        (0, 0, 2), chi_tb_twist))
-
-    rows.append(_checked_row(
-        "cover pullback of blow-up tangent", "finite double cover", "surface",
-        (0, 4, 4), chi_tb + chi_tb_twist))
-
-    chi_curve = curve_rr(3, 0)
-    rows.append(_checked_row(
-        "degree-0 torsion on a genus-3 pencil member", "torsion outside image",
-        "curve", (0, 2, None), chi_curve))
-    rows.append(_checked_row(
-        "degree-0 torsion on a genus-3 pencil member", "torsion in image",
-        "curve", (1, 3, None), chi_curve))
-
-    return rows
+    # (object, kind, chi, ((condition, h-vector), ...))
+    ledger = (
+        ("ext_bundle", "surface", chi_abelian(ext_bundle()),
+         (("any", (1, 0, 0)),)),
+        ("sym2_adjoint (x) torsion", "surface", chi_abelian(sym2_adjoint()),
+         (("torsion not in image^x", (0, 0, 0)),
+          ("torsion in image^x", (1, 2, 1)))),
+        ("sym3_adjoint (x) torsion", "surface", chi_abelian(sym3_adjoint()),
+         (("any torsion twist", (2, 0, 0)),)),
+        ("L (x) torsion (x) I_p^2, p a base point", "surface", _chi_ideal(1, 2),
+         (("twist ratio not in image^x", (0, None, None)),
+          ("twist ratio in image^x", (1, None, None)))),
+        ("L^2 (x) torsion (x) I_o^3", "surface", _chi_ideal(2, 3),
+         (("torsion not in image^x", (2, None, None)),
+          ("torsion in image^x", (3, None, None)))),
+        ("L^2 (x) torsion (x) I_o^4", "surface", _chi_ideal(2, 4),
+         (("torsion trivial", (2, None, None)),
+          ("torsion in image^x", (1, None, None)),
+          ("torsion outside image", (0, None, None)))),
+        ("inverse cover root on blow-up", "surface", chi_lb_inv,
+         (("nontrivial square root", (0, 0, 1)),)),
+        ("blow-up tangent", "surface", chi_tb,
+         (("any", (0, 4, 2)),)),
+        ("blow-up tangent (x) inverse root", "surface", chi_tb_twist,
+         (("nontrivial square root", (0, 0, 2)),)),
+        ("cover pullback of blow-up tangent", "surface", chi_tb + chi_tb_twist,
+         (("finite double cover", (0, 4, 4)),)),
+        ("degree-0 torsion on a genus-3 pencil member", "curve", curve_rr(3, 0),
+         (("torsion outside image", (0, 2, None)),
+          ("torsion in image", (1, 3, None)))),
+    )
+    return [_checked_row(obj, condition, kind, h, chi)
+            for obj, kind, chi, cases in ledger for condition, h in cases]
 
 
 def eagon_northcott_checks() -> list[dict]:
     """chi additivity across the two symmetric-power exact sequences."""
-    f = ext_bundle()
+    chi_s2 = chi_abelian(sym2_adjoint())
     checks = []
-
-    left = chi_abelian(dual(f))
-    right = chi_abelian(ChernDatum(1, 1, 0)) + ideal_point_chi_correction(2)
-    total = chi_abelian(sym2_adjoint())
-    checks.append({
-        "sequence": "dual ext_bundle -> sym2_adjoint (x) torsion -> L (x) torsion^3 (x) I_p^2",
-        "chi_sub": left, "chi_quot": right, "chi_total": total,
-        "ok": left + right == total,
-    })
-
-    left = chi_abelian(sym2_adjoint())
-    right = chi_abelian(ChernDatum(1, 2, 0)) + ideal_point_chi_correction(3)
-    total = chi_abelian(sym3_adjoint())
-    checks.append({
-        "sequence": "sym2_adjoint -> sym3_adjoint -> L^2 (x) torsion (x) I_o^3",
-        "chi_sub": left, "chi_quot": right, "chi_total": total,
-        "ok": left + right == total,
-    })
-
-    for c in checks:
-        if not c["ok"]:
-            raise ConsistencyError(f"chi additivity failed: {c}")
+    for sequence, sub, quot, total in (
+        ("dual ext_bundle -> sym2_adjoint (x) torsion -> L (x) torsion^3 (x) I_p^2",
+         chi_abelian(dual(ext_bundle())), _chi_ideal(1, 2), chi_s2),
+        ("sym2_adjoint -> sym3_adjoint -> L^2 (x) torsion (x) I_o^3",
+         chi_s2, _chi_ideal(2, 3), chi_abelian(sym3_adjoint())),
+    ):
+        check = {"sequence": sequence, "chi_sub": sub, "chi_quot": quot,
+                 "chi_total": total, "ok": sub + quot == total}
+        if not check["ok"]:
+            raise ConsistencyError(f"chi additivity failed: {check}")
+        checks.append(check)
     return checks

@@ -257,10 +257,9 @@ def _cmd_act(args) -> dict:
 
 
 def _act_text(payload: dict):
-    res = payload["result"]
-    label = res.get("label") or ",".join(str(e) for e in res["exp"])
-    return [f"{payload['input'].get('label') or payload['input']['exp']} -> {label}",
-            f"values: {res['values']}"]
+    inp, res = (c.get("label") or ",".join(map(str, c["exp"]))
+                for c in (payload["input"], payload["result"]))
+    return [f"{inp} -> {res}", f"values: {payload['result']['values']}"]
 
 
 def _cmd_classify(args) -> dict:
@@ -286,7 +285,7 @@ def _cmd_classify(args) -> dict:
 def _classify_text(payload: dict):
     lines = [f"Q = {payload['Q'].get('label')}, root exponents "
              f"{payload['root']['exp']}: type {payload['type']}"]
-    if "report" in payload and "moduli" in payload.get("report", {}):
+    if "moduli" in payload.get("report", {}):
         rep = payload["report"]
         lines.append(f"  (pg, q, K^2) = ({rep['pg']}, {rep['q']}, {rep['K2']}),"
                      f" pencil genus {rep['pencil_genus']}, h1(T) = {rep['h1_TS']}")
@@ -438,7 +437,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"internal cross-check failure: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
     try:

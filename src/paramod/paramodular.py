@@ -2,7 +2,8 @@
 
 Membership in the group is a pair of conditions: an integrality pattern on
 the 4x4 entries, and the requirement that N = S^-1 M^T S (S = diag(I2, D))
-is an integer matrix preserving the alternating form E = [[0,D],[-D,0]].
+is an integer matrix preserving the alternating form E = [[0,D],[-D,0]],
+the form of lattice.make_lattice(d).
 N is the matrix through which a group element moves lattice vectors, so the
 induced action on a character with exponent vector e is e -> N^T e mod n.
 Membership takes any d >= 1; the generators below are d=2 elements.
@@ -17,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from paramod.lattice import DIGITS, Character
+from paramod.lattice import DIGITS, Character, make_lattice
 
 Mat4 = tuple[tuple[Fraction, ...], ...]
 IntMat4 = tuple[tuple[int, ...], ...]
@@ -42,10 +43,6 @@ def mat_mul(a: Mat4, b: Mat4) -> Mat4:
 
 def transpose(a: Mat4) -> Mat4:
     return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
-
-
-def _form_matrix(d: int) -> Mat4:
-    return mat([[0, 0, 1, 0], [0, 0, 0, d], [-1, 0, 0, 0], [0, -d, 0, 0]])
 
 
 def _pattern(d: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -113,17 +110,12 @@ def _certify(entries, d: int) -> tuple[MembershipCertificate, Mat4, Mat4]:
         raise ValueError(f"polarization type d must be >= 1, got {d}")
     m = mat(entries)
     pat = _pattern(d)
-    pattern_ok = True
-    violation: Optional[tuple[int, int, str]] = None
-    for i in range(4):
-        for j in range(4):
-            if (m[i][j] / pat[i][j]).denominator != 1:
-                pattern_ok = False
-                if violation is None:
-                    violation = (i + 1, j + 1, f"entry {m[i][j]} not in {pat[i][j]}*Z")
-                break
-        if not pattern_ok:
-            break
+    violation: Optional[tuple[int, int, str]] = next(
+        ((i + 1, j + 1, f"entry {m[i][j]} not in {pat[i][j]}*Z")
+         for i in range(4) for j in range(4) if (m[i][j] / pat[i][j]).denominator != 1),
+        None,
+    )
+    pattern_ok = violation is None
 
     # N[i][j] = M[j][i] * s_j / s_i, so the pattern makes N integral: the
     # cells divided by d come from column 4 (in dZ), the cells multiplied by d
@@ -132,18 +124,14 @@ def _certify(entries, d: int) -> tuple[MembershipCertificate, Mat4, Mat4]:
     n = monodromy_matrix(m, d)
     n_integral = all(x.denominator == 1 for row in n for x in row)
 
-    e = _form_matrix(d)
+    e = make_lattice(d).form
     preserved = mat_mul(mat_mul(transpose(n), e), n)
     form_ok = preserved == e
-    if not form_ok and violation is None:
-        bad = next(
-            (i, j) for i in range(4) for j in range(4) if preserved[i][j] != e[i][j]
-        )
-        violation = (
-            bad[0] + 1,
-            bad[1] + 1,
-            f"form not preserved: (N^T E N)[{bad[0] + 1}][{bad[1] + 1}] = "
-            f"{preserved[bad[0]][bad[1]]}, want {e[bad[0]][bad[1]]}",
+    if not form_ok and pattern_ok:
+        violation = next(
+            (i + 1, j + 1, f"form not preserved: (N^T E N)[{i + 1}][{j + 1}] = "
+                           f"{preserved[i][j]}, want {e[i][j]}")
+            for i in range(4) for j in range(4) if preserved[i][j] != e[i][j]
         )
     cert = MembershipCertificate(pattern_ok, n_integral, n_integral and form_ok, violation)
     return cert, m, n
@@ -155,13 +143,6 @@ class ParamodularMatrix(NamedTuple):
     entries: Mat4
     d: int
     monodromy: IntMat4
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "entries": [str(x) for row in self.entries for x in row],
-            "monodromy": [list(row) for row in self.monodromy],
-        }
 
 
 def member(entries, d: int = 2) -> ParamodularMatrix:

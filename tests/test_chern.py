@@ -4,13 +4,13 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paramod import chern, cli
 from paramod.chern import (
     BlowupLineBundle,
     ChernDatum,
     chi_abelian,
     chi_blowup_line,
     curve_rr,
-    det,
     dimension_ledger,
     dual,
     eagon_northcott_checks,
@@ -52,9 +52,8 @@ def test_dual_involution():
     assert dual(v).c1 == -3
 
 
-def test_det_and_tensor_line():
+def test_tensor_line():
     v = ChernDatum(2, 1, 1)
-    assert det(v) == ChernDatum(1, 1, 0)
     assert tensor_line(v, 0) == v
     tw = tensor_line(v, 2)
     assert tw.rank == 2 and tw.c1 == 5
@@ -257,3 +256,26 @@ def test_checked_row_raises_on_mismatch():
     from paramod.chern import _checked_row
     with pytest.raises(ConsistencyError):
         _checked_row("bogus", "any", "surface", (1, 0, 0), 7)
+
+
+def test_checked_row_curve_sums_h0_and_h1_only():
+    from paramod.chern import _checked_row
+    with pytest.raises(ConsistencyError, match=r"bogus \[any\]: h-vector \(0, 3, None\)"):
+        _checked_row("bogus", "any", "curve", (0, 3, None), -2)
+    # a curve's h2 slot is not part of its alternating sum
+    assert _checked_row("bogus", "any", "curve", (1, 3, 5), -2).chi == -2
+    with pytest.raises(ConsistencyError):
+        _checked_row("bogus", "any", "surface", (1, 3, 5), -2)
+
+
+def test_additivity_failure_raises_and_ledger_exits_1(monkeypatch, capsys):
+    # a wrong ideal-power correction leaves every fully stated ledger row intact
+    # (the I_p^k rows leave h1 and h2 open) but breaks both additivity sequences
+    monkeypatch.setattr(chern, "ideal_point_chi_correction", lambda k: 0)
+    dimension_ledger()
+    with pytest.raises(ConsistencyError, match="chi additivity failed"):
+        eagon_northcott_checks()
+    assert cli.main(["ledger"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal cross-check failure: chi additivity failed" in err

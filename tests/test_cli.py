@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paramod import cli, orbits
+from paramod import classifier, cli, orbits
 from paramod.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +64,14 @@ def test_membership_rejection(capsys):
     assert payload["first_violation"]["row"] == 4
 
 
+def test_membership_text_non_member(capsys):
+    matrix = "1,0,0,1,0,1,0,0,0,0,1,0,0,0,0,1"
+    code, out, _ = run_cli(capsys, ["--format", "text", "membership", "--matrix", matrix])
+    assert code == 0
+    assert out.splitlines() == ["not a member",
+                                "first violation at (1, 4): entry 1 not in 2*Z"]
+
+
 def test_membership_bad_input(capsys):
     code, _, err = run_cli(capsys, ["membership", "--matrix", "1,2,3"])
     assert code == 2
@@ -109,6 +117,14 @@ def test_act_mod4(capsys):
     assert json.loads(out)["result"]["exp"] == [1, 0, 0, 0]
 
 
+def test_act_text_unlabeled_input(capsys):
+    # chi1 read mod 4 has no label, and neither has its image
+    code, out, _ = run_cli(capsys, ["--format", "text", "act", "--gen", "J",
+                                    "--char", "chi1", "--n", "4"])
+    assert code == 0
+    assert out.splitlines()[0] == "0,0,2,0 -> 2,0,0,0"
+
+
 def test_classify_type_II(capsys):
     code, out, _ = run_cli(capsys, ["classify", "--Q", "chi1", "--root", "0,0,1,0"])
     assert code == 0
@@ -131,6 +147,14 @@ def test_classify_degenerate(capsys):
     payload = json.loads(out)
     assert payload["type"] == "pg3"
     assert payload["report"]["pg"] == 3
+
+
+def test_classify_text_outside_image_prints_reason(capsys):
+    code, out, _ = run_cli(capsys, ["--format", "text", "classify", "--Q", "psi1",
+                                    "--root", "0,0,0,1"])
+    assert code == 0
+    assert out.splitlines() == ["Q = psi1, root exponents [0, 0, 0, 1]: type invalid",
+                                "  " + classifier.invalid_reason()]
 
 
 def test_classify_mismatched_root(capsys):
@@ -233,6 +257,13 @@ def test_chern_bundle(capsys):
     code, out, _ = run_cli(capsys, ["chern", "--bundle", "2,1,1"])
     assert code == 0
     assert json.loads(out)["chi"] == 1
+
+
+def test_chern_bundle_wrong_count_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["chern", "--bundle", "1,2"])
+    assert code == 2
+    assert out == ""
+    assert "expected 3 comma-separated integers for --bundle" in err
 
 
 def test_chern_blowup(capsys):

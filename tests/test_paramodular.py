@@ -326,10 +326,11 @@ def test_parse_matrix_roundtrip():
 
 
 def test_serialization():
-    payload = gen_J().to_json()
-    assert payload["entries"][3] == "0"
-    assert payload["entries"][13] == "-1/2"
-    assert payload["monodromy"][0] == [0, 0, -1, 0]
+    j = gen_J()
+    assert j.d == 2
+    assert j.entries[0][3] == 0
+    assert j.entries[3][1] == Fraction(-1, 2)
+    assert j.monodromy[0] == (0, 0, -1, 0)
 
 
 def test_member_rejects_non_member():

@@ -32,10 +32,9 @@ from paramod.lattice import (
     parse_int,
 )
 from paramod.paramodular import (
+    _certify,
     act,
-    is_member,
     member,
-    monodromy_matrix,
     parse_matrix,
     special_generators,
 )
@@ -224,13 +223,12 @@ def _orbits_text(payload: dict):
 
 
 def _cmd_membership(args) -> dict:
-    entries = parse_matrix(args.matrix)
-    cert = is_member(entries, args.d)
+    # one _certify pass gives the certificate and, for a member, its monodromy
+    cert, _, n = _certify(parse_matrix(args.matrix), args.d)
     payload = cert.to_json()
     payload["d"] = args.d
     if cert.ok:
-        payload["monodromy"] = [[int(x) for x in row]
-                                for row in monodromy_matrix(entries, args.d)]
+        payload["monodromy"] = [[int(x) for x in row] for row in n]
     return payload
 
 

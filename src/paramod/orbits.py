@@ -5,18 +5,20 @@ the orbit partition of a labeled set, the point orbits of a permutation
 group and the enumeration of the group itself: the orbit of the identity
 under left multiplication on byte strings, each generator applied as one
 ``bytes.translate``, for at most 256 points.  States are opaque orderable
-values, generators are opaque, and the action takes the generator first,
-``action(gen, state)``: the argument order of ``act``, ``act_pair`` and
-``Permutation.compose``.  Determinism is part of the contract: each BFS layer
-is sorted by state, so orbit listings, witness words and serialized reports
-are byte-stable across runs.
+values, generators are opaque, and the action takes the state first,
+``action(state, gen)``: the argument order of ``state.translate(table)``, so
+the closure passes the C method ``bytes.translate`` itself and runs no Python
+frame per edge.  ``act``, ``act_pair`` and ``Permutation.compose`` keep the
+generator first; only ``_tables`` applies them, and the orbits of a labeled
+set run on the index tables it builds.  Determinism is part of the contract:
+each BFS layer is sorted by state, so orbit listings, witness words and
+serialized reports are byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Callable, NamedTuple, Sequence
 
 from paramod.classifier import FAMILIES, SurfaceType
@@ -122,28 +124,38 @@ class OrbitPartition(NamedTuple):
 
 
 def orbit(seed, generators: Sequence, action: Callable, cap: float = math.inf):
-    """Breadth-first orbit of seed under action(gen, state).
+    """Breadth-first orbit of seed under action(state, gen).
 
     Returns (words, truncated).  words maps every state reached to its witness
     word, the generator indices that carry seed to it applied left to right,
     in BFS order with each layer sorted by state.  The search stops, with
-    truncated True, as soon as more than cap states have been reached.
+    truncated True, as soon as more than cap states have been reached.  The
+    state comes first so that a method such as ``bytes.translate`` can be the
+    action without a wrapper.
     """
     words = {seed: ()}
     frontier = [seed]
+    indexed = tuple(enumerate(generators))
+    room = cap - 1  # new states still allowed; below 0 means more than cap
     while frontier:
         layer = {}
         for s in frontier:
-            for gi, g in enumerate(generators):
-                t = action(g, s)
+            word = words[s]
+            for gi, g in indexed:
+                t = action(s, g)
                 if t not in words and t not in layer:
-                    layer[t] = words[s] + (gi,)
-                    if len(words) + len(layer) > cap:
+                    layer[t] = word + (gi,)
+                    room -= 1
+                    if room < 0:
                         words.update(sorted(layer.items()))
                         return words, True
         frontier = sorted(layer)
-        words.update((t, layer[t]) for t in frontier)
+        words.update(zip(frontier, map(layer.__getitem__, frontier)))
     return words, False
+
+
+def _image(point: int, table: Sequence[int]) -> int:
+    return table[point]
 
 
 def _partition(degree: int, tables: Sequence[Sequence[int]]) -> OrbitPartition:
@@ -152,7 +164,7 @@ def _partition(degree: int, tables: Sequence[Sequence[int]]) -> OrbitPartition:
     blocks = []
     for start in range(degree):
         if words[start] is None:
-            block, _ = orbit(start, tables, operator.getitem)
+            block, _ = orbit(start, tables, _image)
             blocks.append(tuple(block))
             for i, word in block.items():
                 words[i] = word
@@ -191,18 +203,15 @@ class ClosureReport(NamedTuple):
     orbit_sizes: tuple[int, ...]
 
 
-def _translate(table: bytes, state: bytes) -> bytes:
-    return state.translate(table)
-
-
 def group_closure(
     perms: Sequence[Permutation], degree: int, cap: int = DEFAULT_CLOSURE_CAP
 ) -> ClosureReport:
     """Enumerate the generated permutation group, up to a safety cap.
 
     An element s is the byte string of its images, and each generator g is
-    one 256-byte translation table, so ``s.translate(table)`` is g∘s in a
-    single call: the search walks the left Cayley graph from the identity.
+    one 256-byte translation table, so ``bytes.translate(s, table)`` is g∘s
+    in a single C call, passed to :func:`orbit` as the action itself: the
+    search walks the left Cayley graph from the identity.
     It reaches the same group, and a truncated run holds exactly cap + 1
     elements as with any orbit.  A byte holds a value below 256, so degrees
     above 256 raise ValueError.  Transitivity and point-orbit sizes only
@@ -217,7 +226,7 @@ def group_closure(
 
     sizes = _partition(degree, [p.images for p in perms]).sizes()
     tables = [bytes(p.images) + bytes(256 - degree) for p in perms]
-    elements, truncated = orbit(bytes(range(degree)), tables, _translate, cap)
+    elements, truncated = orbit(bytes(range(degree)), tables, bytes.translate, cap)
     return ClosureReport(len(elements), truncated, sizes == [degree], tuple(sizes))
 
 

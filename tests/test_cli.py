@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paramod import classifier, cli, orbits
+from paramod import classifier, cli, orbits, paramodular
 from paramod.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +53,28 @@ def test_membership_identity(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["member"]
+
+
+def test_membership_builds_the_monodromy_once(monkeypatch, capsys):
+    # the certificate pass already holds N; stdout is the stored bytes
+    calls = []
+    build = paramodular.monodromy_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    # cli is patched too, in case it holds its own reference to the builder
+    monkeypatch.setattr(paramodular, "monodromy_matrix", counted)
+    monkeypatch.setattr(cli, "monodromy_matrix", counted, raising=False)
+    with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
+        stored = json.load(fh)
+    for key in ("membership --matrix 0,0,1,0,0,0,0,2,-1,0,0,0,0,-1/2,0,0",
+                "--format text membership --matrix 0,0,1,0,0,0,0,2,-1,0,0,0,0,-1/2,0,0"):
+        calls.clear()
+        assert main(key.split(" ")) == 0
+        assert capsys.readouterr().out == stored[key]
+        assert len(calls) == 1, key
 
 
 def test_membership_rejection(capsys):

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orbit_reference
 from paramod import cli, orbits, paramodular
 from paramod.lattice import Character, character_table, make_lattice
 from paramod.orbits import (
@@ -41,20 +43,25 @@ def mul(a, b):
     return member(mat_mul(a.entries, b.entries), a.d)
 
 
+def act_on(state, m):
+    """act in orbit's state-first argument order."""
+    return act(m, state)
+
+
 def test_orbit_of_trivial():
-    words, truncated = orbit(TABLE.chi[0], GENS, act)
+    words, truncated = orbit(TABLE.chi[0], GENS, act_on)
     assert words == {TABLE.chi[0]: ()}
     assert not truncated
 
 
 def test_orbit_of_chi1():
-    got = list(orbit(TABLE.chi[1], GENS, act)[0])
+    got = list(orbit(TABLE.chi[1], GENS, act_on)[0])
     assert set(got) == set(TABLE.chi[1:])
     assert len(got) == 3
 
 
 def test_orbit_of_psi1():
-    got = orbit(TABLE.psi[0], GENS, act)[0]
+    got = orbit(TABLE.psi[0], GENS, act_on)[0]
     assert set(got) == set(TABLE.psi)
 
 
@@ -280,6 +287,44 @@ def test_closure_matches_left_product_reference(degree_and_images, cap):
     point_orbits = {frozenset(g.images[i] for g in group) for i in range(degree)}
     assert report.orbit_sizes == tuple(sorted(map(len, point_orbits)))
     assert report.transitive == (len(point_orbits) == 1)
+
+
+def _degree_and_tables(min_degree, max_degree):
+    return st.integers(min_degree, max_degree).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.permutations(range(n)).map(tuple), max_size=6)))
+
+
+def _assert_orbit_matches_reference(seed, gens, action, reference_action, data):
+    size = len(orbit_reference.orbit(seed, gens, reference_action)[0])
+    cap = data.draw(st.one_of(st.integers(1, size + 1), st.just(math.inf)))
+    words, truncated = orbit(seed, gens, action, cap)
+    want, want_truncated = orbit_reference.orbit(seed, gens, reference_action, cap)
+    assert list(words.items()) == list(want.items())
+    assert truncated == want_truncated
+
+
+@settings(deadline=None)
+@given(_degree_and_tables(1, 12), st.data())
+def test_orbit_matches_reference_on_points(degree_and_tables, data):
+    # state-first table[point] against the generator-first lookup of the
+    # reference: same words, same insertion order, same truncation
+    degree, tables = degree_and_tables
+    seed = data.draw(st.integers(0, degree - 1))
+    _assert_orbit_matches_reference(seed, tables, orbits._image,
+                                    lambda table, point: table[point], data)
+
+
+@settings(deadline=None)
+@given(_degree_and_tables(0, 6), st.data())
+def test_orbit_matches_reference_on_byte_strings(degree_and_tables, data):
+    # the closure's action, bytes.translate itself, against a generator-first
+    # wrapper, from any arrangement (degree 0 is the empty string), not only
+    # the identity
+    degree, images = degree_and_tables
+    tables = [bytes(p) + bytes(256 - degree) for p in images]
+    seed = bytes(data.draw(st.permutations(range(degree))))
+    _assert_orbit_matches_reference(seed, tables, bytes.translate,
+                                    lambda table, state: state.translate(table), data)
 
 
 def test_partition_robust_under_extra_members():

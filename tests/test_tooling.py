@@ -1,9 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "paramod"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "paramod"
 
 
 def _package_nodes():
@@ -52,3 +57,20 @@ def test_no_unused_imports_in_package():
     offenders = [f"{name}:{line} {ident}" for (name, ident), line in sorted(imported.items())
                  if (name, ident) not in used]
     assert offenders == []
+
+
+def test_import_probe_finds_every_module_row():
+    # bench/run.py reads one `-X importtime` row per module of IMPORT_MODULES
+    # from a fresh `import paramod.cli`; a module imported lazily has no row,
+    # and the traced benchmark run would stop on a KeyError
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    probed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "IMPORT_MODULES")
+    assert len(probed) == 7
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import paramod.cli"],
+                         capture_output=True, text=True, env=env, check=True).stderr
+    rows = set(re.findall(r"import time:\s+\d+ \|\s+\d+ \|\s*(\S+)", err))
+    assert [m for m in probed if f"paramod.{m}" not in rows] == []

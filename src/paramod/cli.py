@@ -9,8 +9,8 @@ because CPython 3.11's C encoder cannot indent and json.dumps would run its
 pure-Python encoder instead.
 
 Exit codes: 0 success, 2 input validation failure (including text output
-that stdout cannot encode), 1 internal cross-check failure (which indicates
-a bug, never a bad input).
+that stdout cannot encode and output holding an integer too long to print),
+1 internal cross-check failure (which indicates a bug, never a bad input).
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from paramod.lattice import (
     make_lattice,
     parse_character,
     parse_int,
+    parse_ints,
 )
 from paramod.paramodular import (
-    _certify,
     act,
+    is_member,
     member,
     parse_matrix,
     special_generators,
@@ -95,13 +96,6 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
         sys.stdout.write("\n".join(text_lines(payload)) + "\n")
 
 
-def _int(text: str) -> int:
-    try:
-        return parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
 def _positive_int(text: str) -> int:
     try:
         value = parse_int(text)
@@ -114,7 +108,10 @@ def _positive_int(text: str) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """The argument parser, built once per process; parsing leaves it unchanged.
+
+    Each subcommand's parser sets `run` to its (handler, text renderer) pair.
+    """
     parser = argparse.ArgumentParser(
         prog="paramod",
         description="Exact monodromy orbits, membership certificates, "
@@ -137,6 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "12-element complement and report transitivity")
     p.add_argument("--cap", type=_positive_int, default=orbits.DEFAULT_CLOSURE_CAP,
                    help="element cap for the group closure (>= 1)")
+    p.set_defaults(run=(_cmd_orbits, _orbits_text))
 
     p = sub.add_parser("membership", help="membership certificate (module: paramodular)",
                        description="Check the integrality pattern and symplectic "
@@ -146,6 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="16 comma-separated rationals, row-major, e.g. '1,0,...'")
     p.add_argument("--d", type=_positive_int, default=2,
                    help="polarization type, >= 1 (default 2)")
+    p.set_defaults(run=(_cmd_membership, _membership_text))
 
     p = sub.add_parser("act", help="monodromy action on a character (module: paramodular)",
                        description="Apply a group element to a torsion character "
@@ -155,8 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", help="named generator: b(1,0,0), d(1,0,1,1), J, ...")
     p.add_argument("--char", required=True,
                    help="character label (chi0..chi3, psi1..psi12) or 4 exponents")
-    p.add_argument("--n", type=_int, default=2, choices=(2, 4),
+    p.add_argument("--n", type=_positive_int, default=2, choices=(2, 4),
                    help="character order bound (default 2)")
+    p.set_defaults(run=(_cmd_act, _act_text))
 
     p = sub.add_parser("classify", help="surface type from a torsion datum (module: classifier)",
                        description="Classify the surface attached to a 2-torsion "
@@ -165,12 +165,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="order-2 character: label or 4 exponents mod 2")
     p.add_argument("--root", required=True,
                    help="order-4 square root: 4 exponents mod 4")
+    p.set_defaults(run=(_cmd_classify, _classify_text))
 
     p = sub.add_parser("invariants", help="double-cover invariants (module: doublecover)",
                        description="chi and K^2 of the resolved double cover from "
                                    "a branch singularity forest (module: doublecover).")
     p.add_argument("--forest", required=True,
                    help="path to JSON {\"L2\": n, \"nodes\": [{\"id\", \"d\", \"parent\"}]}")
+    p.set_defaults(run=(_cmd_invariants, _invariants_text))
 
     p = sub.add_parser("chern", help="Euler characteristics (module: chern)",
                        description="chi of a sheaf on the abelian surface or of a "
@@ -178,15 +180,18 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--bundle", help="rank,a,c2 on the abelian surface")
     src.add_argument("--blowup", help="a,b for the class a*L + b*E on the blow-up")
+    p.set_defaults(run=(_cmd_chern, _chern_text))
 
-    sub.add_parser("moduli", help="moduli decomposition (module: classifier)",
-                   description="Three-component moduli decomposition with cover "
-                               "degrees cross-checked against the orbit engine "
-                               "(modules: classifier, orbits).")
+    p = sub.add_parser("moduli", help="moduli decomposition (module: classifier)",
+                       description="Three-component moduli decomposition with cover "
+                                   "degrees cross-checked against the orbit engine "
+                                   "(modules: classifier, orbits).")
+    p.set_defaults(run=(_cmd_moduli, _moduli_text))
 
-    sub.add_parser("ledger", help="cohomology dimension ledger (module: chern)",
-                   description="Every stored h-vector with its recomputed chi "
-                               "(module: chern).")
+    p = sub.add_parser("ledger", help="cohomology dimension ledger (module: chern)",
+                       description="Every stored h-vector with its recomputed chi "
+                                   "(module: chern).")
+    p.set_defaults(run=(_cmd_ledger, _ledger_text))
     return parser
 
 
@@ -223,12 +228,8 @@ def _orbits_text(payload: dict):
 
 
 def _cmd_membership(args) -> dict:
-    # one _certify pass gives the certificate and, for a member, its monodromy
-    cert, _, n = _certify(parse_matrix(args.matrix), args.d)
-    payload = cert.to_json()
+    payload = is_member(parse_matrix(args.matrix), args.d).to_json()
     payload["d"] = args.d
-    if cert.ok:
-        payload["monodromy"] = [[int(x) for x in row] for row in n]
     return payload
 
 
@@ -329,23 +330,13 @@ def _invariants_text(payload: dict):
     return lines
 
 
-def _parse_ints(text: str, count: int, what: str) -> list[int]:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise ValueError(f"expected {count} comma-separated integers for {what}")
-    try:
-        return [parse_int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"non-integer value in {what}: {text!r}") from None
-
-
 def _cmd_chern(args) -> dict:
     if args.bundle is not None:
-        rank, a, c2 = _parse_ints(args.bundle, 3, "--bundle")
+        rank, a, c2 = parse_ints(args.bundle, 3, "--bundle")
         v = chern.ChernDatum(rank, a, c2)
         return {"surface": "abelian", "rank": rank, "c1": a, "c2": c2,
                 "chi": chern.chi_abelian(v)}
-    a, b = _parse_ints(args.blowup, 2, "--blowup")
+    a, b = parse_ints(args.blowup, 2, "--blowup")
     bl = chern.BlowupLineBundle(a, b)
     return {"surface": "blow-up", "a": a, "b": b,
             "chi": chern.chi_blowup_line(bl),
@@ -419,17 +410,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(_merge_negative_values(argv))
-    handlers = {
-        "orbits": (_cmd_orbits, _orbits_text),
-        "membership": (_cmd_membership, _membership_text),
-        "act": (_cmd_act, _act_text),
-        "classify": (_cmd_classify, _classify_text),
-        "invariants": (_cmd_invariants, _invariants_text),
-        "chern": (_cmd_chern, _chern_text),
-        "moduli": (_cmd_moduli, _moduli_text),
-        "ledger": (_cmd_ledger, _ledger_text),
-    }
-    handler, text_renderer = handlers[args.command]
+    handler, text_renderer = args.run
     try:
         payload = handler(args)
     except ConsistencyError as exc:
@@ -446,6 +427,12 @@ def main(argv=None) -> int:
         bad = exc.object[exc.start:exc.end]
         sys.stderr.write(f"invalid input: {bad!r} cannot be written as {exc.encoding} "
                          "text; --format json escapes it\n")
+        return 2
+    except ValueError:
+        # the one other failure: an int longer than the interpreter's limit on
+        # str() digits; both formats build the whole string before writing it
+        sys.stderr.write("invalid input: the output holds an integer with more "
+                         "digits than Python writes as text\n")
         return 2
     return 0
 

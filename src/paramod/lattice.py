@@ -210,6 +210,18 @@ def parse_int(text: str, signed: bool = True) -> int:
     return int(text)
 
 
+def parse_ints(text: str, count: int, what: str) -> list[int]:
+    """The count comma-separated integers of text; ValueError naming what otherwise."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise ValueError(f"expected {count} comma-separated integers for {what}, "
+                         f"got {text!r}")
+    try:
+        return [parse_int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"non-integer value in {what}: {text!r}") from None
+
+
 def parse_character(text: str, n: int, table: CharacterTable | None = None) -> Character:
     """Parse 'chi1' / 'psi7' labels or a comma-separated exponent vector."""
     text = text.strip()
@@ -224,11 +236,4 @@ def parse_character(text: str, n: int, table: CharacterTable | None = None) -> C
             raise ValueError(f"character label {text!r} out of range")
         c = block[idx]
         return c if n == 2 else c.lift4()
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 comma-separated exponents, got {text!r}")
-    try:
-        exps = tuple(map(parse_int, parts))
-    except ValueError:
-        raise ValueError(f"non-integer exponent in {text!r}") from None
-    return Character(n, exps)
+    return Character(n, tuple(parse_ints(text, 4, "character exponents")))

@@ -6,6 +6,8 @@ is an integer matrix preserving the alternating form E = [[0,D],[-D,0]],
 the form of lattice.make_lattice(d).
 N is the matrix through which a group element moves lattice vectors, so the
 induced action on a character with exponent vector e is e -> N^T e mod n.
+is_member is the one pass that checks both conditions; a member's
+certificate carries N as integers, and member wraps the matrix with it.
 Membership takes any d >= 1; the generators below are d=2 elements.
 
 All arithmetic is over fractions.Fraction; nothing here ever rounds.
@@ -62,13 +64,15 @@ class MembershipCertificate(NamedTuple):
 
     symplectic_ok is the full second condition (monodromy integral and
     form-preserving); n_integral is its integrality sub-flag, kept separate
-    so a certificate says which half broke.
+    so a certificate says which half broke.  monodromy is the integer N of a
+    member, and None for any other matrix.
     """
 
     pattern_ok: bool
     n_integral: bool
     symplectic_ok: bool
     first_violation: Optional[tuple[int, int, str]] = None
+    monodromy: Optional[IntMat4] = None
 
     @property
     def ok(self) -> bool:
@@ -79,13 +83,16 @@ class MembershipCertificate(NamedTuple):
         if self.first_violation is not None:
             row, col, reason = self.first_violation
             violation = {"row": row, "col": col, "reason": reason}
-        return {
+        out = {
             "member": self.ok,
             "pattern_ok": self.pattern_ok,
             "n_integral": self.n_integral,
             "symplectic_ok": self.symplectic_ok,
             "first_violation": violation,
         }
+        if self.monodromy is not None:
+            out["monodromy"] = [list(row) for row in self.monodromy]
+        return out
 
 
 def monodromy_matrix(entries: Mat4, d: int) -> Mat4:
@@ -98,14 +105,10 @@ def is_member(entries, d: int = 2) -> MembershipCertificate:
     """Check the integrality pattern and the symplectic condition.
 
     Always returns a certificate; the matrix belongs to the group iff all
-    three flags hold.  first_violation pins the first failing entry in
+    three flags hold, and then the certificate carries its integer
+    monodromy N.  first_violation pins the first failing entry in
     row-major order (1-based indices) together with a reason string.
     """
-    return _certify(entries, d)[0]
-
-
-def _certify(entries, d: int) -> tuple[MembershipCertificate, Mat4, Mat4]:
-    """is_member's certificate, with the matrix M and its monodromy N."""
     if d < 1:
         raise ValueError(f"polarization type d must be >= 1, got {d}")
     m = mat(entries)
@@ -133,8 +136,11 @@ def _certify(entries, d: int) -> tuple[MembershipCertificate, Mat4, Mat4]:
                            f"{preserved[i][j]}, want {e[i][j]}")
             for i in range(4) for j in range(4) if preserved[i][j] != e[i][j]
         )
-    cert = MembershipCertificate(pattern_ok, n_integral, n_integral and form_ok, violation)
-    return cert, m, n
+    symplectic_ok = n_integral and form_ok
+    monodromy = None
+    if pattern_ok and symplectic_ok:
+        monodromy = tuple(tuple(int(x) for x in row) for row in n)
+    return MembershipCertificate(pattern_ok, n_integral, symplectic_ok, violation, monodromy)
 
 
 class ParamodularMatrix(NamedTuple):
@@ -147,10 +153,11 @@ class ParamodularMatrix(NamedTuple):
 
 def member(entries, d: int = 2) -> ParamodularMatrix:
     """Validate entries and wrap them, or raise with the violation detail."""
-    cert, m, n = _certify(entries, d)
+    m = mat(entries)
+    cert = is_member(m, d)
     if not cert.ok:
         raise ValueError(f"not a group element: {cert.to_json()['first_violation']}")
-    return ParamodularMatrix(m, d, tuple(tuple(int(x) for x in row) for row in n))
+    return ParamodularMatrix(m, d, cert.monodromy)
 
 
 def gen_b(b11: int, b12: int, b22: int) -> ParamodularMatrix:

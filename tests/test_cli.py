@@ -8,7 +8,7 @@ import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paramod import classifier, cli, orbits, paramodular
 from paramod.cli import main
@@ -56,17 +56,17 @@ def test_membership_identity(capsys):
 
 
 def test_membership_builds_the_monodromy_once(monkeypatch, capsys):
-    # the certificate pass already holds N; stdout is the stored bytes
+    # one is_member pass checks the matrix and builds N; stdout is the stored bytes
     calls = []
-    build = paramodular.monodromy_matrix
+    check = paramodular.is_member
 
     def counted(*args):
         calls.append(args)
-        return build(*args)
+        return check(*args)
 
-    # cli is patched too, in case it holds its own reference to the builder
-    monkeypatch.setattr(paramodular, "monodromy_matrix", counted)
-    monkeypatch.setattr(cli, "monodromy_matrix", counted, raising=False)
+    # both references are patched, so a call through member would count too
+    monkeypatch.setattr(paramodular, "is_member", counted)
+    monkeypatch.setattr(cli, "is_member", counted)
     with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
         stored = json.load(fh)
     for key in ("membership --matrix 0,0,1,0,0,0,0,2,-1,0,0,0,0,-1/2,0,0",
@@ -240,6 +240,28 @@ def test_invariants_lone_surrogate_id(tmp_path):
     assert json.loads(out.stdout)["negligible_ids"] == ["\ud800"]
 
 
+_NINES = "9" * 3000
+# a forest whose chi and K^2 (quadratic in d) have more than 4300 digits
+_LONG_D_FOREST = '{"L2": 4, "nodes": [{"id": "p", "d": %s}]}' % ("8" * 2200)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "text"]], ids=["json", "text"])
+@pytest.mark.parametrize("argv", [
+    ["chern", "--bundle", f"1,{_NINES},0"],
+    ["chern", "--blowup", f"{_NINES},1"],
+    ["invariants", "--forest", "long_d.json"],
+], ids=["bundle", "blowup", "invariants"])
+def test_integer_too_long_to_print_exits_2(tmp_path, monkeypatch, capsys, argv, fmt):
+    # the result holds an int longer than the interpreter's 4300-digit limit on
+    # str(); both formats build the whole output before writing any of it
+    (tmp_path / "long_d.json").write_text(_LONG_D_FOREST, encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, fmt + argv)
+    assert (code, out) == (2, "")
+    assert err == ("invalid input: the output holds an integer with more digits "
+                   "than Python writes as text\n")
+
+
 def _invariants_text_lines(capsys, tmp_path, nodes):
     forest = tmp_path / "forest.json"
     forest.write_text(json.dumps({"L2": 8, "nodes": nodes}), encoding="utf-8")
@@ -349,11 +371,11 @@ def test_unknown_generator_exits_2(capsys):
 def test_internal_cross_check_failure_exits_1(monkeypatch, capsys):
     from paramod.errors import ConsistencyError
 
-    def boom(_args):
+    def boom():
         raise ConsistencyError("forced for the exit-code test")
 
-    monkeypatch.setitem(
-        cli.__dict__, "_cmd_moduli", boom)
+    # the cached parser holds the handlers themselves, so patch what they call
+    monkeypatch.setattr(classifier, "moduli_decomposition", boom)
     code, _, err = run_cli(capsys, ["moduli"])
     assert code == 1
     assert "internal cross-check failure" in err
@@ -380,8 +402,9 @@ def test_integer_options_below_one_exit_2(argv, capsys):
     (["act", "--gen", "J", "--char", "psi\u0661"], "malformed character label"),
     (["act", "--gen", "J", "--char", "chi-0"], "malformed character label 'chi-0'"),
     (["classify", "--Q", "chi1", "--root", "psi+5"], "malformed character label 'psi+5'"),
-    (["act", "--gen", "J", "--char", "1_0,0,0,0"], "non-integer exponent"),
-    (["act", "--gen", "J", "--char", "psi1", "--n", "0_4"], "invalid int value: '0_4'"),
+    (["act", "--gen", "J", "--char", "1_0,0,0,0"],
+     "non-integer value in character exponents: '1_0,0,0,0'"),
+    (["act", "--gen", "J", "--char", "psi1", "--n", "0_4"], "expected an integer, got '0_4'"),
     (["chern", "--bundle", "1_0,\u0662,3"], "non-integer value in --bundle"),
     (["chern", "--blowup", "2,\u0664"], "non-integer value in --blowup"),
     (["orbits", "--set", "psi12", "--closure", "--cap", "1_0"],
@@ -558,7 +581,8 @@ _GRAMMAR = {
                  "--root": ("0,0,0,0", "0,2,2,0", "0,0,2,0", "0,0,1,0", "1,0,1,2",
                            "0,1,1,2", "-1,2,3,4")},
     "invariants": {"--forest": ()},  # filled with the forest files below
-    "chern": {"--bundle": ("2,1,1", "1,0,-3"), "--blowup": ("2,-4", "0,1")},
+    "chern": {"--bundle": ("2,1,1", "1,0,-3", f"1,{_NINES},0"),
+              "--blowup": ("2,-4", "0,1", f"{_NINES},1")},
     "moduli": {},
     "ledger": {},
 }
@@ -569,13 +593,15 @@ _ALL_OPTIONS = sorted({opt for options in _GRAMMAR.values() for opt in options}
 
 @pytest.fixture(scope="module")
 def forest_paths(tmp_path_factory):
-    """Forest files: valid, cyclic, wrongly typed, invalid UTF-8, a directory, missing."""
+    """Forest files: valid, cyclic, wrongly typed, invalid UTF-8, with invariants
+    too long to print, a directory, missing."""
     root = tmp_path_factory.mktemp("forests")
     files = {
         "cyclic.json": b'{"L2": 4, "nodes": [{"id": "a", "d": 4, "parent": "b"},'
                        b' {"id": "b", "d": 4, "parent": "a"}]}',
         "types.json": b'{"L2": "4", "nodes": {"id": "a"}}',
         "utf8.json": b'{"L2": 4, "nodes": [{"id": "\xff", "d": 4}]}',
+        "long_d.json": _LONG_D_FOREST.encode("ascii"),
     }
     for name, content in files.items():
         (root / name).write_bytes(content)
@@ -618,7 +644,13 @@ def _argv(draw, forests):
 
 
 def test_cli_exit_code_contract_under_fuzzing(forest_paths):
+    long_d = next(path for path in forest_paths if path.endswith("long_d.json"))
+
+    # outputs too long to print are drawn too rarely to meet in every run
     @settings(max_examples=200, deadline=None)
+    @example(["chern", "--bundle", f"1,{_NINES},0"])
+    @example(["--format", "text", "chern", "--blowup", f"{_NINES},1"])
+    @example(["invariants", "--forest", long_d])
     @given(_argv(forest_paths))
     def run(argv):
         out, err = io.StringIO(), io.StringIO()

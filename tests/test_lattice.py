@@ -226,7 +226,8 @@ def test_parse_character():
     assert parse_character("1,0,3,2", 4) == Character(4, (1, 0, 3, 2))
     with pytest.raises(ValueError):
         parse_character("psi13", 2, table)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 4 comma-separated integers for "
+                                         "character exponents, got '1,2'"):
         parse_character("1,2", 2, table)
     # fields are ASCII digits after strip(), exponents with an optional sign;
     # int() alone reads "psi1_0" as psi10, "psi\u0661" as psi1, "chi-0" as chi0
@@ -236,7 +237,7 @@ def test_parse_character():
         with pytest.raises(ValueError, match="malformed character label"):
             parse_character(text, 2, table)
     for text in ("1_0,0,0,0", "0,0,\u0661,0"):
-        with pytest.raises(ValueError, match="non-integer exponent"):
+        with pytest.raises(ValueError, match="non-integer value in character exponents"):
             parse_character(text, 2, table)
 
 

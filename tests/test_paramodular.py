@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paramod.lattice import Character, character_table, make_lattice, square_roots
 from paramod.paramodular import (
@@ -382,3 +382,33 @@ def test_pattern_implies_integral_monodromy(case):
     assert cert.n_integral or not cert.pattern_ok
     if not cert.pattern_ok:
         assert "not in" in cert.first_violation[2]
+
+
+@st.composite
+def _word_matrices(draw):
+    """A generator word's matrix, or that matrix with one cell moved: by an
+    off-pattern value, or by its pattern cell, which keeps the pattern."""
+    rows = [list(row) for row in word_member(draw(_WORDS)).entries]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        rows[i][j] += draw(st.sampled_from(_OFF_PATTERN[1:] + (_pattern(2)[i][j],)))
+    return rows, 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_word_matrices() | _rational_matrices())
+@example((gen_J().entries, 2))
+@example(([[1, 0, 2, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]], 2))  # on pattern, off form
+def test_certificate_carries_the_monodromy_of_a_member(case):
+    rows, d = case
+    cert = is_member(rows, d)
+    payload = cert.to_json()
+    assert ("monodromy" in payload) == payload["member"]
+    if cert.ok:
+        want = tuple(tuple(int(x) for x in row) for row in monodromy_matrix(mat(rows), d))
+        assert cert.monodromy == member(rows, d).monodromy == want
+        assert payload["monodromy"] == [list(row) for row in want]
+    else:
+        assert cert.monodromy is None
+        with pytest.raises(ValueError, match="not a group element"):
+            member(rows, d)

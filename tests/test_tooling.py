@@ -74,3 +74,13 @@ def test_import_probe_finds_every_module_row():
                          capture_output=True, text=True, env=env, check=True).stderr
     rows = set(re.findall(r"import time:\s+\d+ \|\s+\d+ \|\s*(\S+)", err))
     assert [m for m in probed if f"paramod.{m}" not in rows] == []
+
+
+def test_no_private_imports_between_package_modules():
+    # a module that needs another's underscore name should have it made
+    # public, or the tracer and the reader both miss the call
+    offenders = [f"{name}:{node.lineno} {alias.name}" for name, node in _package_nodes()
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").partition(".")[0] == "paramod")
+                 for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []

@@ -154,10 +154,11 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
     Raw formula values are reported as-is.  The note field records the two
     situations where the raw numbers do not tell the whole story: a
     consecutive-triple-point pair (the resolution is non-minimal and the
-    minimal model gains K^2 + 1), and an all-negligible forest (the
-    correction terms vanish identically, so chi = L2/2 and K^2 = 2*L2; in
-    the chi = 1 classification context that case is excluded because it
-    would force L2 = 2 and K^2 = 4).
+    minimal model gains K^2 + 1; with several pairs the note gives the K^2 of
+    one contraction and says that it covers one pair), and an all-negligible
+    forest (the correction terms vanish identically, so chi = L2/2 and
+    K^2 = 2*L2; in the chi = 1 classification context that case is excluded
+    because it would force L2 = 2 and K^2 = 4).
     """
     if L2 <= 0 or L2 % 2 != 0:
         raise ValueError(f"L2 must be even and positive, got {L2}")
@@ -169,9 +170,19 @@ def invariants(L2: int, f: SingularityForest) -> CoverInvariants:
 
     notes = []
     if pairs:
+        # A pair's (-1)-curve comes from an exceptional curve that lies in the
+        # branch locus, that is, from a point of odd multiplicity (BHPV III.7).
+        # d = 2*floor(mult/2) does not record that parity, so for several pairs
+        # the forest cannot tell whether their curves are all there and
+        # disjoint, and the figure is one contraction's.
+        if len(pairs) == 1:
+            k2_note = f"the minimal model has K^2 = {k2 + 1}"
+        else:
+            k2_note = (f"contracting one pair's (-1)-curve gives K^2 = {k2 + 1}; "
+                       "this figure covers one pair only")
         notes.append(
             "resolution contains a (-1)-curve from the consecutive-triple-point "
-            f"pair(s) {pairs}; the minimal model has K^2 = {k2 + 1}"
+            f"pair(s) {pairs}; {k2_note}"
         )
     if f.nodes and len(negligible) == len(f.nodes):
         notes.append(

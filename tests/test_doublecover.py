@@ -93,6 +93,16 @@ def test_invariants_33_pair_minimal_model_note():
     assert "K^2 = 7" in inv.minimality_note
 
 
+def test_invariants_note_with_two_pairs_covers_one():
+    # two disjoint (2, 4) pairs: one contraction gives 4 + 1, not the minimal model
+    inv = invariants(4, forest([("a", 2), ("b", 4, "a"), ("c", 2), ("e", 4, "c")]))
+    assert inv.K2_resolved == 4
+    assert inv.minimality_note == (
+        "resolution contains a (-1)-curve from the consecutive-triple-point pair(s) "
+        "[('a', 'b'), ('c', 'e')]; contracting one pair's (-1)-curve gives K^2 = 5; "
+        "this figure covers one pair only")
+
+
 def test_invariants_node_permutation_invariant():
     a = invariants(4, forest([("p", 4), ("n", 2)]))
     b = invariants(4, forest([("n", 2), ("p", 4)]))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import membership_reference
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -412,3 +413,53 @@ def test_certificate_carries_the_monodromy_of_a_member(case):
         assert cert.monodromy is None
         with pytest.raises(ValueError, match="not a group element"):
             member(rows, d)
+
+
+# N^T E N is taken only when N is integral; this matrix breaks the pattern in
+# cell (1,4), so N[4][1] = 1/2, and its N^T E N differs from E.
+_NON_INTEGRAL_N = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_matrices() | _word_matrices())
+@example((identity(), 1))
+@example(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, Fraction(1, 2), 0, 1]], 1))
+@example(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, Fraction(1, 3), 0, 1]], 6))
+@example(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, Fraction(1, 4), 0, 1]], 6))
+@example((_NON_INTEGRAL_N, 2))
+@example(([[0, 0, 1, 0], [0, 0, 0, "2"], [-1, 0, 0, 0], [0, "-1/2", 0, Fraction(0)]], 2))
+@example(([[1, 0, 2, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]], 2))  # on pattern, off form
+def test_certificate_matches_the_fraction_reference(case):
+    rows, d = case
+    assert is_member(rows, d) == membership_reference.is_member(rows, d)
+
+
+def test_non_integral_monodromy_example_is_off_form():
+    # the example above exercises the skipped product: the reference takes it
+    # and finds N^T E N != E, the library does not take it, and both agree
+    n = membership_reference.monodromy_matrix(membership_reference.mat(_NON_INTEGRAL_N), 2)
+    e = make_lattice(2).form
+    product = membership_reference.mat_mul(
+        membership_reference.mat_mul(membership_reference.transpose(n), e), n)
+    assert product != e
+    cert = is_member(_NON_INTEGRAL_N, 2)
+    assert (cert.pattern_ok, cert.n_integral, cert.symplectic_ok) == (False, False, False)
+    assert cert.first_violation == (1, 4, "entry 1 not in 2*Z")
+
+
+@pytest.mark.parametrize("cell, ok", [(Fraction(1, 3), True), (Fraction(1, 4), False)])
+def test_lower_left_cell_in_one_over_d_z(cell, ok):
+    rows = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    rows[3][1] = cell
+    cert = is_member(rows, 6)
+    assert cert.pattern_ok == ok
+    if not ok:
+        assert cert.first_violation == (4, 2, "entry 1/4 not in 1/6*Z")
+
+
+def test_mat_keeps_fraction_entries():
+    x = Fraction(-1, 2)
+    rows = mat([[x, 1, "1/3", 0]] * 4)
+    assert rows[0][0] is x
+    assert rows[0][1:3] == (1, Fraction(1, 3))
+    assert all(type(v) is Fraction for row in rows for v in row)

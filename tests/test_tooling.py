@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -84,3 +85,23 @@ def test_no_private_imports_between_package_modules():
                  and (node.level or (node.module or "").partition(".")[0] == "paramod")
                  for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_every_traced_target_resolves():
+    # bench/tracing.py wraps each TARGETS name with getattr when a traced run
+    # starts; a deleted or renamed function stops every `--trace 1` run
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    missing = []
+    for short, names in targets.items():
+        module = importlib.import_module(f"paramod.{short}")
+        for name in names:
+            path = name if isinstance(name, tuple) else (name,)
+            obj = module
+            for attr in path:
+                obj = getattr(obj, attr, None)
+            if not callable(obj):
+                missing.append(".".join((short, *path)))
+    assert missing == []

@@ -1,24 +1,22 @@
 """Orbit enumeration over finite group actions, and the standard reports.
 
-One breadth-first engine, :func:`orbit`, serves every orbit computation here:
-the orbit partition of a labeled set, the point orbits of a permutation
-group and the enumeration of the group itself: the orbit of the identity
-under left multiplication on byte strings, each generator applied as one
-``bytes.translate``, for at most 256 points.  States are opaque orderable
-values, generators are opaque, and the action takes the state first,
-``action(state, gen)``: the argument order of ``state.translate(table)``, so
-the closure passes the C method ``bytes.translate`` itself and runs no Python
-frame per edge.  ``act``, ``act_pair`` and ``Permutation.compose`` keep the
-generator first; only ``_tables`` applies them, and the orbits of a labeled
-set run on the index tables it builds.  Determinism is part of the contract:
-each BFS layer is sorted by state, so orbit listings, witness words and
-serialized reports are byte-stable across runs.
+One breadth-first engine, :func:`orbit`, finds the orbit partition of a
+labeled set and the point orbits of a permutation group, with a replayable
+witness word per element.  States are opaque orderable values, generators
+are opaque, and the action takes the state first, ``action(state, gen)``: a
+right action, written s^g, so the generators of a word apply left to right.
+``act``, ``act_pair`` and ``Permutation.compose`` keep the generator first;
+only ``_tables`` applies them, and the orbits of a labeled set run on the
+index tables it builds.  Determinism is part of the contract: each BFS layer
+is sorted by state, so orbit listings, witness words and serialized reports
+are byte-stable across runs.  :func:`group_closure` only counts the group, so
+it reads no words and runs its own breadth-first loop over byte strings, each
+generator applied as one ``bytes.translate``, for at most 256 points.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, NamedTuple, Sequence
 
 from paramod.classifier import FAMILIES, SurfaceType
@@ -123,20 +121,16 @@ class OrbitPartition(NamedTuple):
         return sorted(len(b) for b in self.blocks)
 
 
-def orbit(seed, generators: Sequence, action: Callable, cap: float = math.inf):
+def orbit(seed, generators: Sequence, action: Callable) -> dict:
     """Breadth-first orbit of seed under action(state, gen).
 
-    Returns (words, truncated).  words maps every state reached to its witness
-    word, the generator indices that carry seed to it applied left to right,
-    in BFS order with each layer sorted by state.  The search stops, with
-    truncated True, as soon as more than cap states have been reached.  The
-    state comes first so that a method such as ``bytes.translate`` can be the
-    action without a wrapper.
+    Returns a dict that maps every state reached to its witness word, the
+    generator indices that carry seed to it applied left to right, in BFS
+    order with each layer sorted by state.
     """
     words = {seed: ()}
     frontier = [seed]
     indexed = tuple(enumerate(generators))
-    room = cap - 1  # new states still allowed; below 0 means more than cap
     while frontier:
         layer = {}
         for s in frontier:
@@ -145,13 +139,9 @@ def orbit(seed, generators: Sequence, action: Callable, cap: float = math.inf):
                 t = action(s, g)
                 if t not in words and t not in layer:
                     layer[t] = word + (gi,)
-                    room -= 1
-                    if room < 0:
-                        words.update(sorted(layer.items()))
-                        return words, True
         frontier = sorted(layer)
         words.update(zip(frontier, map(layer.__getitem__, frontier)))
-    return words, False
+    return words
 
 
 def _image(point: int, table: Sequence[int]) -> int:
@@ -164,7 +154,7 @@ def _partition(degree: int, tables: Sequence[Sequence[int]]) -> OrbitPartition:
     blocks = []
     for start in range(degree):
         if words[start] is None:
-            block, _ = orbit(start, tables, _image)
+            block = orbit(start, tables, _image)
             blocks.append(tuple(block))
             for i, word in block.items():
                 words[i] = word
@@ -209,14 +199,14 @@ def group_closure(
     """Enumerate the generated permutation group, up to a safety cap.
 
     An element s is the byte string of its images, and each generator g is
-    one 256-byte translation table, so ``bytes.translate(s, table)`` is g∘s
-    in a single C call, passed to :func:`orbit` as the action itself: the
-    search walks the left Cayley graph from the identity.
-    It reaches the same group, and a truncated run holds exactly cap + 1
-    elements as with any orbit.  A byte holds a value below 256, so degrees
-    above 256 raise ValueError.  Transitivity and point-orbit sizes only
-    need the generators, so they are reported even when the closure itself
-    is truncated.
+    one 256-byte translation table, so ``s.translate(table)`` is g∘s in a
+    single C call: the search walks the left Cayley graph from the identity,
+    one translation and one set lookup per edge (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, §4.1).  It stops as soon
+    as more than cap elements are reached, so a truncated run holds exactly
+    cap + 1.  A byte holds a value below 256, so degrees above 256 raise
+    ValueError.  Transitivity and point-orbit sizes only need the
+    generators, so they are reported even when the closure is truncated.
     """
     if degree > 256:
         raise ValueError(f"degree {degree} exceeds the 256 points a closure can hold")
@@ -225,9 +215,19 @@ def group_closure(
             raise ValueError(f"permutation of degree {p.degree}, expected {degree}")
 
     sizes = _partition(degree, [p.images for p in perms]).sizes()
+    transitive = sizes == [degree]
     tables = [bytes(p.images) + bytes(256 - degree) for p in perms]
-    elements, truncated = orbit(bytes(range(degree)), tables, bytes.translate, cap)
-    return ClosureReport(len(elements), truncated, sizes == [degree], tuple(sizes))
+    elements = {bytes(range(degree))}
+    queue = list(elements)
+    for s in queue:  # the list grows while it is read, so it is a FIFO queue
+        for table in tables:
+            t = s.translate(table)
+            if t not in elements:
+                elements.add(t)
+                if len(elements) > cap:
+                    return ClosureReport(len(elements), True, transitive, tuple(sizes))
+                queue.append(t)
+    return ClosureReport(len(elements), False, transitive, tuple(sizes))
 
 
 # -- the standard sets and reports for d=2 ---------------------------------

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -49,19 +48,17 @@ def act_on(state, m):
 
 
 def test_orbit_of_trivial():
-    words, truncated = orbit(TABLE.chi[0], GENS, act_on)
-    assert words == {TABLE.chi[0]: ()}
-    assert not truncated
+    assert orbit(TABLE.chi[0], GENS, act_on) == {TABLE.chi[0]: ()}
 
 
 def test_orbit_of_chi1():
-    got = list(orbit(TABLE.chi[1], GENS, act_on)[0])
+    got = list(orbit(TABLE.chi[1], GENS, act_on))
     assert set(got) == set(TABLE.chi[1:])
     assert len(got) == 3
 
 
 def test_orbit_of_psi1():
-    got = orbit(TABLE.psi[0], GENS, act_on)[0]
+    got = orbit(TABLE.psi[0], GENS, act_on)
     assert set(got) == set(TABLE.psi)
 
 
@@ -267,6 +264,28 @@ def test_closure_of_a_256_cycle():
     assert report == (256, False, True, (256,))
 
 
+def _symmetric_group_generators(degree):
+    transposition = Permutation((1, 0) + tuple(range(2, degree)))
+    cycle = Permutation(tuple(range(1, degree)) + (0,))
+    return [transposition, cycle]
+
+
+@pytest.mark.parametrize("degree", [12, 256])
+def test_closure_of_a_symmetric_group_stops_past_the_cap(degree):
+    # S_12 has 479001600 elements and S_256 far more: the search must stop at
+    # the first element past the cap, not finish a layer or the group
+    report = group_closure(_symmetric_group_generators(degree), degree, cap=1000)
+    assert report == (1001, True, True, (degree,))
+
+
+@pytest.mark.parametrize("cap,order,truncated", [
+    (575, 576, True), (576, 576, False), (577, 576, False)])
+def test_closure_cap_at_the_order_of_psi12(cap, order, truncated):
+    _, perms, _ = standard_set("psi12")
+    report = group_closure(perms, 12, cap=cap)
+    assert (report.order, report.truncated) == (order, truncated)
+
+
 def test_closure_above_256_points_names_the_limit():
     # elements are byte strings, so an image must fit in one byte
     with pytest.raises(ValueError, match="degree 257 exceeds the 256 points"):
@@ -294,37 +313,33 @@ def _degree_and_tables(min_degree, max_degree):
         st.just(n), st.lists(st.permutations(range(n)).map(tuple), max_size=6)))
 
 
-def _assert_orbit_matches_reference(seed, gens, action, reference_action, data):
-    size = len(orbit_reference.orbit(seed, gens, reference_action)[0])
-    cap = data.draw(st.one_of(st.integers(1, size + 1), st.just(math.inf)))
-    words, truncated = orbit(seed, gens, action, cap)
-    want, want_truncated = orbit_reference.orbit(seed, gens, reference_action, cap)
-    assert list(words.items()) == list(want.items())
-    assert truncated == want_truncated
+def _assert_orbit_matches_reference(seed, gens, action, reference_action):
+    want, _ = orbit_reference.orbit(seed, gens, reference_action)
+    assert list(orbit(seed, gens, action).items()) == list(want.items())
 
 
 @settings(deadline=None)
 @given(_degree_and_tables(1, 12), st.data())
 def test_orbit_matches_reference_on_points(degree_and_tables, data):
     # state-first table[point] against the generator-first lookup of the
-    # reference: same words, same insertion order, same truncation
+    # reference: same words, same insertion order
     degree, tables = degree_and_tables
     seed = data.draw(st.integers(0, degree - 1))
     _assert_orbit_matches_reference(seed, tables, orbits._image,
-                                    lambda table, point: table[point], data)
+                                    lambda table, point: table[point])
 
 
 @settings(deadline=None)
 @given(_degree_and_tables(0, 6), st.data())
 def test_orbit_matches_reference_on_byte_strings(degree_and_tables, data):
-    # the closure's action, bytes.translate itself, against a generator-first
-    # wrapper, from any arrangement (degree 0 is the empty string), not only
-    # the identity
+    # a C method as the state-first action, bytes.translate itself, against a
+    # generator-first wrapper, from any arrangement (degree 0 is the empty
+    # string), not only the identity
     degree, images = degree_and_tables
     tables = [bytes(p) + bytes(256 - degree) for p in images]
     seed = bytes(data.draw(st.permutations(range(degree))))
     _assert_orbit_matches_reference(seed, tables, bytes.translate,
-                                    lambda table, state: state.translate(table), data)
+                                    lambda table, state: state.translate(table))
 
 
 def test_partition_robust_under_extra_members():

@@ -12,7 +12,9 @@ Membership takes any d >= 1; the generators below are d=2 elements.
 
 All arithmetic is over fractions.Fraction; nothing here ever rounds.  Each
 entry becomes a Fraction once, where it enters: mat keeps a Fraction as it
-is.  is_member does only the arithmetic its certificate reads:
+is, and parse_matrix builds each entry from the integer tokens of its
+numerator and denominator.  is_member does only the arithmetic its
+certificate reads:
 - the pattern is tested on each entry's reduced numerator and denominator,
   with no division: a cell in Z needs denominator 1, a cell in dZ also a
   numerator divisible by d, and the cell in (1/d)Z a denominator dividing d;
@@ -20,10 +22,12 @@ is.  is_member does only the arithmetic its certificate reads:
 - the form product N^T E N is taken only when N is integral.  A
   non-integral N breaks the pattern too, and leaves symplectic_ok False
   whatever the product would give.
-The form product stays a Fraction product.  An integer one runs about three
-times faster, but the benchmark keeps every op's samples, so its faster ops
-push the benchmark's peak memory past its bound until runs are capped by op
-count (the benchmark-ceilings item in ROADMAP.md).
+mat_mul writes each cell as one four-term sum over a row and a column, and
+act does the same over the columns of N.  The form product stays a Fraction
+product.  An integer one makes a membership op about five times faster, but
+the benchmark keeps every op's samples, so its faster ops push the
+benchmark's peak memory past its bound until runs are capped by op count
+(the benchmark-ceilings item in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -54,9 +58,13 @@ def identity() -> Mat4:
 
 
 def mat_mul(a: Mat4, b: Mat4) -> Mat4:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4)
-    )
+    # one four-term sum per cell: sum() would start each cell at the int 0
+    # and pay one more Fraction addition for it
+    cols = tuple(zip(*b))
+    return tuple([
+        tuple([r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in cols])
+        for r0, r1, r2, r3 in a
+    ])
 
 
 def transpose(a: Mat4) -> Mat4:
@@ -254,8 +262,8 @@ def special_generators() -> tuple[tuple[str, ParamodularMatrix], ...]:
 
 def act(m: ParamodularMatrix, c: Character) -> Character:
     """Monodromy action on a character: exponents -> N^T exponents mod n."""
-    n, e = m.monodromy, c.exponents
-    exps = tuple(sum(n[k][j] * e[k] for k in range(4)) for j in range(4))
+    e0, e1, e2, e3 = c.exponents
+    exps = tuple(n0 * e0 + n1 * e1 + n2 * e2 + n3 * e3 for n0, n1, n2, n3 in zip(*m.monodromy))
     return Character(c.n, exps)
 
 
@@ -278,8 +286,9 @@ def act_pair(
 
 # An optional sign, ASCII digits and an optional /digits.  No exponent
 # notation: Fraction("1e1000000") builds a million-digit integer from nine
-# characters, while here an entry's digits are bounded by its length.
-_RATIONAL = re.compile(f"[+-]?{DIGITS}(?:/{DIGITS})?")
+# characters, while here an entry's digits are bounded by its length.  The
+# groups are the numerator and the denominator, which int() reads directly.
+_RATIONAL = re.compile(f"([+-]?{DIGITS})(?:/({DIGITS}))?")
 
 
 def parse_matrix(text: str) -> Mat4:
@@ -289,10 +298,12 @@ def parse_matrix(text: str) -> Mat4:
         raise ValueError(f"expected 16 comma-separated rationals, got {len(parts)}")
     vals = []
     for k, p in enumerate(parts, start=1):
-        if _RATIONAL.fullmatch(p) is None:
+        match = _RATIONAL.fullmatch(p)
+        if match is None:
             raise ValueError(f"entry {k} is not an integer or p/q: {p!r}")
+        num, den = match.groups()
         try:
-            vals.append(Fraction(p))
+            vals.append(Fraction(int(num)) if den is None else Fraction(int(num), int(den)))
         except ZeroDivisionError:
             raise ValueError(f"entry {k} has denominator 0: {p!r}") from None
         except ValueError:

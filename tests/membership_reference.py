@@ -1,16 +1,21 @@
-"""Reference copy of the all-Fraction membership check.
+"""Reference copy of the all-Fraction membership check and matrix parser.
 
 This is `paramod.paramodular.is_member` as it stood before the pattern was
 tested on numerators and denominators: every entry converted to Fraction,
 the pattern tested by 16 Fraction divisions, N built cell by cell as
-M[j][i] * s_j / s_i, and the form product N^T E N always taken.  It carries
-its own copies of the helpers it used, so a change to the library's helpers
-cannot move the oracle.  The equivalence tests compare whole certificates:
-flags, first_violation with its reason text, and monodromy.
+M[j][i] * s_j / s_i, and the form product N^T E N always taken, each cell a
+sum() over a generator.  parse_matrix is the parser as it stood before
+entries were built from their integer tokens: each token checked by the
+grammar, then passed whole to Fraction(str).  It carries its own copies of
+the helpers it used, so a change to the library's helpers cannot move the
+oracle.  The equivalence tests compare whole certificates: flags,
+first_violation with its reason text, and monodromy; and parsed matrices or
+the ValueError text.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -93,3 +98,25 @@ def is_member(entries, d: int = 2) -> MembershipCertificate:
     if pattern_ok and symplectic_ok:
         monodromy = tuple(tuple(int(x) for x in row) for row in n)
     return MembershipCertificate(pattern_ok, n_integral, symplectic_ok, violation, monodromy)
+
+
+_RATIONAL = re.compile("[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_matrix(text: str) -> Mat4:
+    """Parse 16 comma-separated rationals, row-major, each an integer or p/q."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 16:
+        raise ValueError(f"expected 16 comma-separated rationals, got {len(parts)}")
+    vals = []
+    for k, p in enumerate(parts, start=1):
+        if _RATIONAL.fullmatch(p) is None:
+            raise ValueError(f"entry {k} is not an integer or p/q: {p!r}")
+        try:
+            vals.append(Fraction(p))
+        except ZeroDivisionError:
+            raise ValueError(f"entry {k} has denominator 0: {p!r}") from None
+        except ValueError:
+            raise ValueError(f"entry {k} has more digits than Python parses "
+                             "into an integer") from None
+    return mat([vals[4 * i : 4 * i + 4] for i in range(4)])

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import membership_reference
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from paramod.lattice import Character, character_table, make_lattice, square_roots
 from paramod.paramodular import (
+    ParamodularMatrix,
     _pattern,
     act,
     act_pair,
@@ -324,6 +326,67 @@ def test_parse_matrix_roundtrip():
         parse_matrix("1,2,3")
     with pytest.raises(ValueError):
         parse_matrix(",".join(["x"] + ["0"] * 15))
+
+
+# Tokens of the parser's grammar: an optional sign, digits with leading zeros
+# allowed, and an optional /digits, so -0, 1/0 and -0/00 all occur.  One
+# numerator and one denominator run past the interpreter's int digit limit.
+_DIGIT_RUNS = st.text(alphabet="0123456789", min_size=1, max_size=4)
+_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+_TOKENS = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(["", "+", "-"]),
+    _DIGIT_RUNS | st.just(_LONG),
+    st.none() | _DIGIT_RUNS | st.just(_LONG),
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return [(type(x), x) for row in parse(text) for x in row]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TOKENS, min_size=16, max_size=16), st.sampled_from([",", ", ", " ,"]))
+@example(["-0", "007", "+3/06", "-0/5"] + ["0"] * 12, ",")
+@example(["1/0"] + ["0"] * 15, ",")
+@example(["0"] * 15 + ["-0/00"], ",")
+@example(["2", _LONG] + ["0"] * 14, ",")
+@example(["2", "1/" + _LONG] + ["0"] * 14, ",")
+@example([_LONG + "/0"] + ["0"] * 15, ",")
+def test_parse_matrix_matches_the_fraction_reference(tokens, sep):
+    text = sep.join(tokens)
+    want = _parse_outcome(membership_reference.parse_matrix, text)
+    assert _parse_outcome(parse_matrix, text) == want
+
+
+_ENTRIES = st.integers(-60, 60) | st.fractions(max_denominator=12, min_value=-60, max_value=60)
+_MATRICES = st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), min_size=4, max_size=4).map(
+    lambda rows: tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MATRICES, _MATRICES)
+@example(identity(), make_lattice(2).form)
+@example(make_lattice(2).form, make_lattice(3).form)
+def test_mat_mul_matches_the_reference_cell_by_cell(a, b):
+    # same value and same type in every cell: int times int stays int
+    got, want = mat_mul(a, b), membership_reference.mat_mul(a, b)
+    assert [(type(x), x) for row in got for x in row] == \
+        [(type(x), x) for row in want for x in row]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-100, 100), min_size=16, max_size=16),
+       st.sampled_from([2, 4]), _EXPONENTS)
+def test_act_is_the_transpose_formula(cells, n, exps):
+    # act reads only the monodromy, so any integral N exercises the kernel
+    monodromy = tuple(tuple(cells[4 * i : 4 * i + 4]) for i in range(4))
+    c = Character(n, exps)
+    want = tuple(sum(monodromy[k][j] * c.exponents[k] for k in range(4)) % n for j in range(4))
+    assert act(ParamodularMatrix(identity(), 2, monodromy), c) == Character(n, want)
 
 
 def test_serialization():

@@ -24,14 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from paramod import chern, classifier, doublecover, orbits
 from paramod.errors import ConsistencyError
-from paramod.lattice import (
-    character_table,
-    character_to_json,
-    make_lattice,
-    parse_character,
-    parse_int,
-    parse_ints,
-)
+from paramod.lattice import character_to_json, parse_character, parse_int, parse_ints
 from paramod.paramodular import (
     act,
     is_member,
@@ -132,8 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closure", action="store_true",
                    help="also enumerate the induced permutation group on the "
                         "12-element complement and report transitivity")
-    p.add_argument("--cap", type=_positive_int, default=orbits.DEFAULT_CLOSURE_CAP,
-                   help="element cap for the group closure (>= 1)")
     p.set_defaults(run=(_cmd_orbits, _orbits_text))
 
     p = sub.add_parser("membership", help="membership certificate (module: paramodular)",
@@ -206,7 +197,7 @@ def _cmd_orbits(args) -> dict:
     report = orbits.standard_orbit_report(args.set)
     if args.closure:
         pset, perms, _ = orbits.standard_set("psi12")
-        report["closure"] = orbits.group_closure(perms, len(pset.elements), cap=args.cap)._asdict()
+        report["closure"] = orbits.group_closure(perms, len(pset.elements))._asdict()
         report["permutations"] = {
             name: perm.cycle_string(pset.labels)
             for name, perm in zip(report["generators"], perms)
@@ -242,17 +233,12 @@ def _membership_text(payload: dict):
 
 
 def _cmd_act(args) -> dict:
-    table = character_table(make_lattice(2))
     if args.gen is not None:
         m = _resolve_generator(args.gen)
     else:
         m = member(parse_matrix(args.matrix), 2)
-    c = parse_character(args.char, args.n, table)
-    result = act(m, c)
-    return {
-        "input": character_to_json(table, c),
-        "result": character_to_json(table, result),
-    }
+    c = parse_character(args.char, args.n)
+    return {"input": character_to_json(c), "result": character_to_json(act(m, c))}
 
 
 def _act_text(payload: dict):
@@ -262,15 +248,10 @@ def _act_text(payload: dict):
 
 
 def _cmd_classify(args) -> dict:
-    table = character_table(make_lattice(2))
-    q = parse_character(args.Q, 2, table)
-    root = parse_character(args.root, 4, table)
+    q = parse_character(args.Q, 2)
+    root = parse_character(args.root, 4)
     t = classifier.classify(q, root)
-    payload = {
-        "Q": character_to_json(table, q),
-        "root": character_to_json(None, root),
-        "type": t.value,
-    }
+    payload = {"Q": character_to_json(q), "root": character_to_json(root), "type": t.value}
     if t is classifier.SurfaceType.Invalid:
         payload["reason"] = classifier.invalid_reason()
     elif t is classifier.SurfaceType.PG3:

@@ -185,12 +185,12 @@ def character_table(lattice: SymplecticLattice) -> CharacterTable:
     return CharacterTable(chi, psi)
 
 
-def character_to_json(table: CharacterTable | None, c: Character) -> dict:
-    """Serialized form with display values and, when available, the table label."""
+def character_to_json(c: Character) -> dict:
+    """Serialized form with display values and, for order 2, the d=2 table label."""
     out = c.to_json()
     out["values"] = list(c.values())
-    if table is not None and c.n == 2:
-        out["label"] = table.label_of(c)
+    if c.n == 2:
+        out["label"] = character_table(make_lattice(2)).label_of(c)
     return out
 
 
@@ -222,10 +222,11 @@ def parse_ints(text: str, count: int, what: str) -> list[int]:
         raise ValueError(f"non-integer value in {what}: {text!r}") from None
 
 
-def parse_character(text: str, n: int, table: CharacterTable | None = None) -> Character:
-    """Parse 'chi1' / 'psi7' labels or a comma-separated exponent vector."""
+def parse_character(text: str, n: int) -> Character:
+    """Parse 'chi1' / 'psi7' labels of the d=2 table or a comma-separated exponent vector."""
     text = text.strip()
-    if table is not None and (text.startswith("chi") or text.startswith("psi")):
+    if text.startswith("chi") or text.startswith("psi"):
+        table = character_table(make_lattice(2))
         block = table.chi if text.startswith("chi") else table.psi
         offset = 0 if text.startswith("chi") else -1
         try:

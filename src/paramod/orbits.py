@@ -2,16 +2,14 @@
 
 One breadth-first engine, :func:`orbit`, finds the orbit partition of a
 labeled set and the point orbits of a permutation group, with a replayable
-witness word per element.  States are opaque orderable values, generators
-are opaque, and the action takes the state first, ``action(state, gen)``: a
-right action, written s^g, so the generators of a word apply left to right.
-``act``, ``act_pair`` and ``Permutation.compose`` keep the generator first;
-only ``_tables`` applies them, and the orbits of a labeled set run on the
-index tables it builds.  Determinism is part of the contract: each BFS layer
-is sorted by state, so orbit listings, witness words and serialized reports
-are byte-stable across runs.  :func:`group_closure` only counts the group, so
-it reads no words and runs its own breadth-first loop over byte strings, each
-generator applied as one ``bytes.translate``, for at most 256 points.
+witness word per element.  It runs on index tables: ``_tables`` applies
+``act`` or ``act_pair`` once per generator and element, and the engine reads
+``table[point]``, so the generators of a word apply left to right.
+Determinism is part of the contract: each BFS layer is sorted by point, so
+orbit listings, witness words and serialized reports are byte-stable across
+runs.  :func:`group_closure` only counts the group, so it reads no words and
+runs its own breadth-first loop over byte strings, each generator applied as
+one ``bytes.translate``, for at most 256 points.
 """
 
 from __future__ import annotations
@@ -121,31 +119,27 @@ class OrbitPartition(NamedTuple):
         return sorted(len(b) for b in self.blocks)
 
 
-def orbit(seed, generators: Sequence, action: Callable) -> dict:
-    """Breadth-first orbit of seed under action(state, gen).
+def orbit(seed: int, tables: Sequence[Sequence[int]]) -> dict:
+    """Breadth-first orbit of the point seed under image tables, one per generator.
 
-    Returns a dict that maps every state reached to its witness word, the
-    generator indices that carry seed to it applied left to right, in BFS
-    order with each layer sorted by state.
+    Returns a dict that maps every point reached to its witness word, the
+    indices of the tables that carry seed to it applied left to right, in BFS
+    order with each layer sorted.
     """
     words = {seed: ()}
     frontier = [seed]
-    indexed = tuple(enumerate(generators))
+    indexed = tuple(enumerate(tables))
     while frontier:
         layer = {}
         for s in frontier:
             word = words[s]
-            for gi, g in indexed:
-                t = action(s, g)
+            for gi, table in indexed:
+                t = table[s]
                 if t not in words and t not in layer:
                     layer[t] = word + (gi,)
         frontier = sorted(layer)
         words.update(zip(frontier, map(layer.__getitem__, frontier)))
     return words
-
-
-def _image(point: int, table: Sequence[int]) -> int:
-    return table[point]
 
 
 def _partition(degree: int, tables: Sequence[Sequence[int]]) -> OrbitPartition:
@@ -154,7 +148,7 @@ def _partition(degree: int, tables: Sequence[Sequence[int]]) -> OrbitPartition:
     blocks = []
     for start in range(degree):
         if words[start] is None:
-            block = orbit(start, tables, _image)
+            block = orbit(start, tables)
             blocks.append(tuple(block))
             for i, word in block.items():
                 words[i] = word

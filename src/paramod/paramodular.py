@@ -310,4 +310,5 @@ def parse_matrix(text: str) -> Mat4:
             # the grammar leaves only the interpreter's limit on int digits
             raise ValueError(f"entry {k} has more digits than Python parses "
                              "into an integer") from None
-    return mat([vals[4 * i : 4 * i + 4] for i in range(4)])
+    # the 16 entries are already Fractions in a fixed shape, so mat has nothing to check
+    return tuple(vals[0:4]), tuple(vals[4:8]), tuple(vals[8:12]), tuple(vals[12:16])

@@ -6,6 +6,7 @@ from paramod.lattice import (
     Character,
     TorsionPoint,
     character_table,
+    character_to_json,
     im_phi2,
     k_group,
     make_lattice,
@@ -221,24 +222,33 @@ def test_character_serialization():
 
 def test_parse_character():
     table = character_table(make_lattice(2))
-    assert parse_character("psi5", 2, table) == Character(2, (0, 1, 1, 0))
-    assert parse_character("chi1", 4, table) == Character(4, (0, 0, 2, 0))
+    assert parse_character("psi5", 2) == Character(2, (0, 1, 1, 0))
+    assert parse_character("chi1", 4) == Character(4, (0, 0, 2, 0))
     assert parse_character("1,0,3,2", 4) == Character(4, (1, 0, 3, 2))
     with pytest.raises(ValueError):
-        parse_character("psi13", 2, table)
+        parse_character("psi13", 2)
     with pytest.raises(ValueError, match="expected 4 comma-separated integers for "
                                          "character exponents, got '1,2'"):
-        parse_character("1,2", 2, table)
+        parse_character("1,2", 2)
     # fields are ASCII digits after strip(), exponents with an optional sign;
     # int() alone reads "psi1_0" as psi10, "psi\u0661" as psi1, "chi-0" as chi0
     assert parse_character(" -1, +2 ,0,3", 4) == Character(4, (3, 2, 0, 3))
-    assert parse_character(" psi 1 ", 2, table) == table.psi[0]
+    assert parse_character(" psi 1 ", 2) == table.psi[0]
     for text in ("psi1_0", "psi\u0661", "chi-0", "psi+1"):
         with pytest.raises(ValueError, match="malformed character label"):
-            parse_character(text, 2, table)
+            parse_character(text, 2)
     for text in ("1_0,0,0,0", "0,0,\u0661,0"):
         with pytest.raises(ValueError, match="non-integer value in character exponents"):
-            parse_character(text, 2, table)
+            parse_character(text, 2)
+
+
+def test_character_to_json_labels_order_2_only():
+    table = character_table(make_lattice(2))
+    assert character_to_json(table.psi[4]) == {
+        "n": 2, "exp": [0, 1, 1, 0], "values": [1, -1, -1, 1], "label": "psi5"}
+    # an order-4 character has no label, not even the lift of a labeled one
+    assert character_to_json(table.chi[1].lift4()) == {
+        "n": 4, "exp": [0, 0, 2, 0], "values": ["1", "1", "-1", "1"]}
 
 
 def test_character_rejects_bad_order():

@@ -42,24 +42,36 @@ def mul(a, b):
     return member(mat_mul(a.entries, b.entries), a.d)
 
 
-def act_on(state, m):
-    """act in orbit's state-first argument order."""
-    return act(m, state)
+CHARS = characters2_set(TABLE)
+# the six generators' image tables on the 16 characters, in GENS order
+CHAR_TABLES = [permutation_of(g, CHARS).images for g in GENS]
+
+
+def orbit_of(c):
+    """orbit() on the index tables, from the index of c, with characters as keys."""
+    got = orbit(CHARS.elements.index(c), CHAR_TABLES)
+    return {CHARS.elements[i]: word for i, word in got.items()}
 
 
 def test_orbit_of_trivial():
-    assert orbit(TABLE.chi[0], GENS, act_on) == {TABLE.chi[0]: ()}
+    assert orbit_of(TABLE.chi[0]) == {TABLE.chi[0]: ()}
 
 
 def test_orbit_of_chi1():
-    got = list(orbit(TABLE.chi[1], GENS, act_on))
+    got = list(orbit_of(TABLE.chi[1]))
     assert set(got) == set(TABLE.chi[1:])
     assert len(got) == 3
 
 
 def test_orbit_of_psi1():
-    got = orbit(TABLE.psi[0], GENS, act_on)
+    got = orbit_of(TABLE.psi[0])
     assert set(got) == set(TABLE.psi)
+    # each witness word, applied left to right with act, reproduces its character
+    for c, word in got.items():
+        image = TABLE.psi[0]
+        for gi in word:
+            image = act(GENS[gi], image)
+        assert image == c
 
 
 def test_orbits_all_sizes():
@@ -308,38 +320,17 @@ def test_closure_matches_left_product_reference(degree_and_images, cap):
     assert report.transitive == (len(point_orbits) == 1)
 
 
-def _degree_and_tables(min_degree, max_degree):
-    return st.integers(min_degree, max_degree).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.permutations(range(n)).map(tuple), max_size=6)))
-
-
-def _assert_orbit_matches_reference(seed, gens, action, reference_action):
-    want, _ = orbit_reference.orbit(seed, gens, reference_action)
-    assert list(orbit(seed, gens, action).items()) == list(want.items())
-
-
 @settings(deadline=None)
-@given(_degree_and_tables(1, 12), st.data())
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.permutations(range(n)).map(tuple), max_size=6))),
+       st.data())
 def test_orbit_matches_reference_on_points(degree_and_tables, data):
-    # state-first table[point] against the generator-first lookup of the
-    # reference: same words, same insertion order
+    # table[point] against the generator-first lookup of the reference: same
+    # words, same insertion order
     degree, tables = degree_and_tables
     seed = data.draw(st.integers(0, degree - 1))
-    _assert_orbit_matches_reference(seed, tables, orbits._image,
-                                    lambda table, point: table[point])
-
-
-@settings(deadline=None)
-@given(_degree_and_tables(0, 6), st.data())
-def test_orbit_matches_reference_on_byte_strings(degree_and_tables, data):
-    # a C method as the state-first action, bytes.translate itself, against a
-    # generator-first wrapper, from any arrangement (degree 0 is the empty
-    # string), not only the identity
-    degree, images = degree_and_tables
-    tables = [bytes(p) + bytes(256 - degree) for p in images]
-    seed = bytes(data.draw(st.permutations(range(degree))))
-    _assert_orbit_matches_reference(seed, tables, bytes.translate,
-                                    lambda table, state: state.translate(table))
+    want, _ = orbit_reference.orbit(seed, tables, lambda table, point: table[point])
+    assert list(orbit(seed, tables).items()) == list(want.items())
 
 
 def test_partition_robust_under_extra_members():

@@ -7,14 +7,16 @@ witness word per element.  It runs on index tables: ``_tables`` applies
 ``table[point]``, so the generators of a word apply left to right.
 Determinism is part of the contract: each BFS layer is sorted by point, so
 orbit listings, witness words and serialized reports are byte-stable across
-runs.  :func:`group_closure` only counts the group, so it reads no words and
-runs its own breadth-first loop over byte strings, each generator applied as
-one ``bytes.translate``, for at most 256 points.
+runs.  :func:`group_closure` only counts the group, so it reads no words:
+it enumerates the group by whole cosets (Dimino's algorithm) over byte
+strings of at most 256 points, each product one ``bytes.translate``, and
+counts the point orbits in a word-free loop.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 from paramod.classifier import FAMILIES, SurfaceType
@@ -187,18 +189,48 @@ class ClosureReport(NamedTuple):
     orbit_sizes: tuple[int, ...]
 
 
+def _orbit_sizes(degree: int, tables: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Sorted sizes of the orbits of 0..degree-1 under image tables, without words."""
+    seen = bytearray(degree)
+    sizes = []
+    for start in range(degree):
+        if not seen[start]:
+            seen[start] = 1
+            block = [start]
+            for point in block:  # the list grows while it is read
+                for table in tables:
+                    t = table[point]
+                    if not seen[t]:
+                        seen[t] = 1
+                        block.append(t)
+            sizes.append(len(block))
+    return tuple(sorted(sizes))
+
+
 def group_closure(
     perms: Sequence[Permutation], degree: int, cap: int = DEFAULT_CLOSURE_CAP
 ) -> ClosureReport:
     """Enumerate the generated permutation group, up to a safety cap.
 
-    An element s is the byte string of its images, and each generator g is
-    one 256-byte translation table, so ``s.translate(table)`` is g∘s in a
-    single C call: the search walks the left Cayley graph from the identity,
-    one translation and one set lookup per edge (Holt, Eick and O'Brien,
-    *Handbook of Computational Group Theory*, 2005, §4.1).  It stops as soon
-    as more than cap elements are reached, so a truncated run holds exactly
-    cap + 1.  A byte holds a value below 256, so degrees above 256 raise
+    An element is the byte string of its images, so with a 256-byte table t
+    of an element e, ``s.translate(t)`` is e∘s in a single C call.  The
+    group is built by Dimino's algorithm (G. Butler, *Fundamental Algorithms
+    for Permutation Groups*, LNCS 559, 1991): H, the group of the generators
+    kept so far, starts as the identity, and a generator already in H is
+    skipped.  A new generator g is kept, and the group of H and g is built
+    from whole left cosets r∘H: starting from the rep r = identity, for each
+    rep r and each kept generator s, an e = s∘r outside the elements found
+    adds its coset e∘H, filled in one C-level ``map``, and becomes a rep.
+    The union U of these cosets is the whole new group: it contains H, and
+    since every s∘r lies in some coset r'∘H, s∘(r∘H) = r'∘H lies in U, so U
+    is closed under left multiplication by each kept generator; a finite set
+    holding the identity and closed under the generators is the group they
+    generate, and U holds nothing outside it.
+
+    The cap is checked after each coset, so a truncated run holds at most
+    cap + |H| elements; it reports truncated true and order cap + 1, or 2
+    for a cap below 1, since the identity alone is never checked against
+    the cap.  A byte holds a value below 256, so degrees above 256 raise
     ValueError.  Transitivity and point-orbit sizes only need the
     generators, so they are reported even when the closure is truncated.
     """
@@ -208,20 +240,28 @@ def group_closure(
         if p.degree != degree:
             raise ValueError(f"permutation of degree {p.degree}, expected {degree}")
 
-    sizes = _partition(degree, [p.images for p in perms]).sizes()
-    transitive = sizes == [degree]
-    tables = [bytes(p.images) + bytes(256 - degree) for p in perms]
-    elements = {bytes(range(degree))}
-    queue = list(elements)
-    for s in queue:  # the list grows while it is read, so it is a FIFO queue
-        for table in tables:
-            t = s.translate(table)
-            if t not in elements:
-                elements.add(t)
-                if len(elements) > cap:
-                    return ClosureReport(len(elements), True, transitive, tuple(sizes))
-                queue.append(t)
-    return ClosureReport(len(elements), False, transitive, tuple(sizes))
+    sizes = _orbit_sizes(degree, [p.images for p in perms])
+    transitive = sizes == (degree,)
+    pad = bytes(256 - degree)
+    identity = bytes(range(degree))
+    elements = {identity}
+    kept = []
+    for p in perms:
+        g = bytes(p.images)
+        if g in elements:
+            continue
+        kept.append(g + pad)
+        subgroup = list(elements)
+        reps = [identity]
+        for r in reps:  # the list grows while it is read
+            for table in kept:
+                e = r.translate(table)
+                if e not in elements:
+                    elements.update(map(bytes.translate, subgroup, repeat(e + pad)))
+                    if len(elements) > cap:
+                        return ClosureReport(max(cap + 1, 2), True, transitive, sizes)
+                    reps.append(e)
+    return ClosureReport(len(elements), False, transitive, sizes)
 
 
 # -- the standard sets and reports for d=2 ---------------------------------

@@ -285,7 +285,7 @@ def _symmetric_group_generators(degree):
 @pytest.mark.parametrize("degree", [12, 256])
 def test_closure_of_a_symmetric_group_stops_past_the_cap(degree):
     # S_12 has 479001600 elements and S_256 far more: the search must stop at
-    # the first element past the cap, not finish a layer or the group
+    # the first coset past the cap, not finish a subgroup step or the group
     report = group_closure(_symmetric_group_generators(degree), degree, cap=1000)
     assert report == (1001, True, True, (degree,))
 
@@ -296,6 +296,21 @@ def test_closure_cap_at_the_order_of_psi12(cap, order, truncated):
     _, perms, _ = standard_set("psi12")
     report = group_closure(perms, 12, cap=cap)
     assert (report.order, report.truncated) == (order, truncated)
+
+
+def test_closure_of_s8_past_the_cap():
+    # S_8 has 40320 elements; the last subgroup step passes the cap mid-way
+    report = group_closure(_symmetric_group_generators(8), 8, cap=5000)
+    assert report == (5001, True, True, (8,))
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_closure_cap_below_one_reports_two(cap):
+    # the identity is never counted against the cap, so the first element
+    # past it makes two
+    _, perms, _ = standard_set("psi12")
+    report = group_closure(perms, 12, cap=cap)
+    assert (report.order, report.truncated) == (2, True)
 
 
 def test_closure_above_256_points_names_the_limit():
@@ -318,6 +333,33 @@ def test_closure_matches_left_product_reference(degree_and_images, cap):
     point_orbits = {frozenset(g.images[i] for g in group) for i in range(degree)}
     assert report.orbit_sizes == tuple(sorted(map(len, point_orbits)))
     assert report.transitive == (len(point_orbits) == 1)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.permutations(range(n)), min_size=2, max_size=4))),
+       st.integers(1, 6000), st.data())
+def test_closure_ignores_generator_order_and_redundant_generators(
+        degree_and_images, cap, data):
+    # reordering the generators or adding elements the group already holds
+    # must not change the report; an element appended last takes the skip path
+    degree, images = degree_and_images
+    perms = [Permutation(tuple(p)) for p in images]
+    group = _reference_group(perms, degree)
+    want = (min(len(group), cap + 1), len(group) > cap)
+    a, b = data.draw(st.lists(st.sampled_from(perms), min_size=2, max_size=2))
+    variants = [
+        data.draw(st.permutations(perms)),
+        perms + [Permutation.identity(degree)],
+        [Permutation.identity(degree)] + perms,
+        perms + [data.draw(st.sampled_from(perms))],
+        perms + [a.compose(b)],
+        [a.compose(b)] + perms,
+    ]
+    base = group_closure(perms, degree, cap=cap)
+    assert (base.order, base.truncated) == want
+    for variant in variants:
+        assert group_closure(variant, degree, cap=cap) == base
 
 
 @settings(deadline=None)

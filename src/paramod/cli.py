@@ -236,7 +236,7 @@ def _cmd_act(args) -> dict:
     if args.gen is not None:
         m = _resolve_generator(args.gen)
     else:
-        m = member(parse_matrix(args.matrix), 2)
+        m = member(parse_matrix(args.matrix))
     c = parse_character(args.char, args.n)
     return {"input": character_to_json(c), "result": character_to_json(act(m, c))}
 

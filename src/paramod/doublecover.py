@@ -72,23 +72,25 @@ class SingularityForest:
                 depths[n.id] = depths[parent] + 1
             else:
                 unplaced.append(n)
-        # Walk up from each unplaced node, in order, to a root or a node of known
-        # depth, so every node is walked over once.  A node of known depth leads
-        # to a root, so the first walk that meets itself starts at the first node
-        # whose full walk up would, and names the same repeated node.
+        # Walk up from each unplaced node, in order, to a node of known depth,
+        # so every node is walked over once.  The pass above gave every root
+        # depth 0 and found every parent, so a walk that meets no cycle stops
+        # at a root at the latest.  A node of known depth leads to a root, so
+        # the first walk that meets itself starts at the first node whose full
+        # walk up would, and names the same repeated node.
         for n in unplaced:
             if n.id in depths:
                 continue
             path = [n.id]
             on_path = {n.id}
             cur = n.parent
-            while cur is not None and cur not in depths:
+            while cur not in depths:
                 if cur in on_path:
                     raise ValueError(f"parent cycle through {cur}")
                 path.append(cur)
                 on_path.add(cur)
                 cur = by_id[cur].parent
-            depth = 0 if cur is None else depths[cur] + 1
+            depth = depths[cur] + 1
             for node_id in reversed(path):
                 depths[node_id] = depth
                 depth += 1

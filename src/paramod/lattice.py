@@ -164,7 +164,8 @@ def square_roots(c: Character) -> list[Character]:
     """All 16 order-4 characters b with b^2 = c, in lexicographic order."""
     if c.n != 2:
         raise ValueError("square roots are taken of order-2 characters")
-    choices = [(e % 2, e % 2 + 2) for e in c.exponents]
+    # an order-2 character's exponents are already reduced mod 2
+    choices = [(e, e + 2) for e in c.exponents]
     return [Character(4, exps) for exps in product(*choices)]
 
 

@@ -7,10 +7,10 @@ witness word per element.  It runs on index tables: ``_tables`` applies
 ``table[point]``, so the generators of a word apply left to right.
 Determinism is part of the contract: each BFS layer is sorted by point, so
 orbit listings, witness words and serialized reports are byte-stable across
-runs.  :func:`group_closure` only counts the group, so it reads no words:
-it enumerates the group by whole cosets (Dimino's algorithm) over byte
-strings of at most 256 points, each product one ``bytes.translate``, and
-counts the point orbits in a word-free loop.
+runs.  :func:`group_closure` counts the group in its own loop, which reads
+no words: it enumerates the group by whole cosets (Dimino's algorithm) over
+byte strings of at most 256 points, each product one ``bytes.translate``,
+and takes the closure's point orbits from the engine.
 """
 
 from __future__ import annotations
@@ -69,14 +69,10 @@ class Permutation(_PermutationFields):
         return len(self.images)
 
     def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i)).
-
-        A product of two bijections is a bijection, so the result is built
-        without the check in __new__.
-        """
+        """self after other: (self.compose(other))(i) = self(other(i))."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return tuple.__new__(Permutation, (tuple(map(self.images.__getitem__, other.images)),))
+        return Permutation(tuple(map(self.images.__getitem__, other.images)))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles of length >= 2, each starting at its least point."""
@@ -189,24 +185,6 @@ class ClosureReport(NamedTuple):
     orbit_sizes: tuple[int, ...]
 
 
-def _orbit_sizes(degree: int, tables: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Sorted sizes of the orbits of 0..degree-1 under image tables, without words."""
-    seen = bytearray(degree)
-    sizes = []
-    for start in range(degree):
-        if not seen[start]:
-            seen[start] = 1
-            block = [start]
-            for point in block:  # the list grows while it is read
-                for table in tables:
-                    t = table[point]
-                    if not seen[t]:
-                        seen[t] = 1
-                        block.append(t)
-            sizes.append(len(block))
-    return tuple(sorted(sizes))
-
-
 def group_closure(
     perms: Sequence[Permutation], degree: int, cap: int = DEFAULT_CLOSURE_CAP
 ) -> ClosureReport:
@@ -240,7 +218,7 @@ def group_closure(
         if p.degree != degree:
             raise ValueError(f"permutation of degree {p.degree}, expected {degree}")
 
-    sizes = _orbit_sizes(degree, [p.images for p in perms])
+    sizes = tuple(_partition(degree, [p.images for p in perms]).sizes())
     transitive = sizes == (degree,)
     pad = bytes(256 - degree)
     identity = bytes(range(degree))
@@ -279,10 +257,11 @@ def psi_set(table: CharacterTable) -> LabeledSet:
 def pairs48_set(table: CharacterTable) -> LabeledSet:
     elements = []
     labels = []
-    for i, q in enumerate(table.chi[1:], start=1):
+    for q in table.chi[1:]:
+        base = table.label_of(q)
         for r in square_roots(q):
             elements.append((q, r))
-            labels.append(f"(chi{i}, {','.join(str(e) for e in r.exponents)})")
+            labels.append(f"({base}, {','.join(str(e) for e in r.exponents)})")
     return LabeledSet(tuple(elements), tuple(labels))
 
 

@@ -6,9 +6,10 @@ is an integer matrix preserving the alternating form E = [[0,D],[-D,0]],
 the form of lattice.make_lattice(d).
 N is the matrix through which a group element moves lattice vectors, so the
 induced action on a character with exponent vector e is e -> N^T e mod n.
-is_member is the one pass that checks both conditions; a member's
-certificate carries N as integers, and member wraps the matrix with it.
-Membership takes any d >= 1; the generators below are d=2 elements.
+is_member is the one pass that checks both conditions, for any d >= 1; a
+member's certificate carries N as integers.  member wraps a d=2 element
+with its N as a ParamodularMatrix, like the generators below, since the
+action and the character table serve d=2 only.
 
 All arithmetic is over fractions.Fraction; nothing here ever rounds.  Each
 entry becomes a Fraction once, where it enters: mat keeps a Fraction as it
@@ -187,20 +188,19 @@ def is_member(entries, d: int = 2) -> MembershipCertificate:
 
 
 class ParamodularMatrix(NamedTuple):
-    """Validated group element with its cached integral monodromy matrix."""
+    """Validated d=2 group element with its cached integral monodromy matrix."""
 
     entries: Mat4
-    d: int
     monodromy: IntMat4
 
 
-def member(entries, d: int = 2) -> ParamodularMatrix:
-    """Validate entries and wrap them, or raise with the violation detail."""
+def member(entries) -> ParamodularMatrix:
+    """Validate d=2 entries and wrap them, or raise with the violation detail."""
     m = mat(entries)
-    cert = is_member(m, d)
+    cert = is_member(m)
     if not cert.ok:
         raise ValueError(f"not a group element: {cert.to_json()['first_violation']}")
-    return ParamodularMatrix(m, d, cert.monodromy)
+    return ParamodularMatrix(m, cert.monodromy)
 
 
 def gen_b(b11: int, b12: int, b22: int) -> ParamodularMatrix:

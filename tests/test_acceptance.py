@@ -95,7 +95,7 @@ def test_criterion_04_pair_orbit():
 
 def mul(a, b):
     """Group product: the member whose matrix is a's times b's."""
-    return member(mat_mul(a.entries, b.entries), a.d)
+    return member(mat_mul(a.entries, b.entries))
 
 
 def _random_member(rng):

@@ -46,6 +46,14 @@ def test_chi_sym3_adjoint():
     assert chi_abelian(sym3_adjoint()) == 2
 
 
+def test_adjoints_are_twisted_down_by_the_determinant():
+    # det of the extension bundle is L, so S^k E (c1 = k(k+1)/2 L) twisted by
+    # L^-1 has c1 = k(k+1)/2 - (k+1); chi alone cannot tell the twist by L^-1
+    # from the one by L^-2, which is its dual
+    assert (sym2_adjoint().rank, sym2_adjoint().c1) == (3, 0)
+    assert (sym3_adjoint().rank, sym3_adjoint().c1) == (4, 2)
+
+
 def test_dual_involution():
     v = ChernDatum(2, 3, -5)
     assert dual(dual(v)) == v
@@ -176,6 +184,9 @@ def test_ideal_corrections():
     assert ideal_point_chi_correction(2) == -3
     assert ideal_point_chi_correction(3) == -6
     assert ideal_point_chi_correction(4) == -10
+    assert ideal_point_chi_correction(0) == 0
+    with pytest.raises(ValueError, match="ideal power must be >= 0"):
+        ideal_point_chi_correction(-1)
 
 
 def test_eagon_northcott_first_sequence():

@@ -61,8 +61,13 @@ def test_classify_rejects_mismatched_root():
 
 
 def test_classify_rejects_wrong_orders():
-    with pytest.raises(ValueError):
+    message = "expected an order-2 character and an order-4 square root"
+    with pytest.raises(ValueError, match=message):
         classify(TABLE.chi[1].lift4(), Character(4, (0, 0, 1, 0)))
+    # an order-2 root of the trivial Q squares to Q, so only the order check
+    # keeps it from being read as an Ib datum
+    with pytest.raises(ValueError, match=message):
+        classify(TABLE.chi[0], TABLE.chi[1])
 
 
 def test_pair_counts_match_cover_degrees():

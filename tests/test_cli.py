@@ -97,6 +97,16 @@ def test_membership_rejection(capsys):
     assert payload["first_violation"]["row"] == 4
 
 
+def test_membership_takes_any_d_from_1(capsys):
+    # --d is checked against 1, not the default 2
+    matrix = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
+    code, out, _ = run_cli(capsys, ["membership", "--matrix", matrix, "--d", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["d"] == 1
+    assert payload["member"]
+
+
 def test_membership_text_non_member(capsys):
     matrix = "1,0,0,1,0,1,0,0,0,0,1,0,0,0,0,1"
     code, out, _ = run_cli(capsys, ["--format", "text", "membership", "--matrix", matrix])
@@ -134,6 +144,16 @@ def test_act_generator(capsys):
     code, out, _ = run_cli(capsys, ["act", "--gen", "J", "--char", "psi1"])
     assert code == 0
     assert json.loads(out)["result"]["label"] == "psi3"
+    # the default order, given explicitly
+    assert run_cli(capsys, ["act", "--gen", "J", "--char", "psi1", "--n", "2"]) == (0, out, "")
+
+
+def test_act_matrix_takes_a_d2_member(capsys):
+    # --matrix is read as a d=2 element: J's matrix acts as --gen J does
+    j_matrix = "0,0,1,0,0,0,0,2,-1,0,0,0,0,-1/2,0,0"
+    code, out, _ = run_cli(capsys, ["act", "--matrix", j_matrix, "--char", "psi1"])
+    assert code == 0
+    assert run_cli(capsys, ["act", "--gen", "J", "--char", "psi1"]) == (0, out, "")
 
 
 def test_act_matrix(capsys):
@@ -337,6 +357,10 @@ def test_negative_leading_values_accepted(capsys):
     code, out, _ = run_cli(capsys, ["membership", "--matrix", minus_identity])
     assert code == 0
     assert json.loads(out)["member"]
+    # a merged negative value is followed by the next option, not skipped past it
+    code, out, _ = run_cli(capsys, ["act", "--char", "-1,0,0,1", "--gen", "J"])
+    assert code == 0
+    assert json.loads(out)["input"]["exp"] == [1, 0, 0, 1]
 
 
 def test_moduli(capsys):

@@ -133,10 +133,13 @@ def test_formula_replay(node_tuples, L2):
 
 
 def test_invariants_rejects_bad_L2():
-    with pytest.raises(ValueError):
-        invariants(3, forest([]))
-    with pytest.raises(ValueError):
-        invariants(0, forest([]))
+    for l2 in (0, 3, 9):
+        with pytest.raises(ValueError, match=f"L2 must be even and positive, got {l2}"):
+            invariants(l2, forest([]))
+
+
+def test_empty_forest_has_depth_0():
+    assert SingularityForest(()).max_depth() == 0
 
 
 def test_forest_rejects_odd_multiplicity():

@@ -148,6 +148,20 @@ def test_square_roots_of_trivial():
     assert {r.exponents for r in roots} == set(product((0, 2), repeat=4))
 
 
+def test_order_2_only_operations_reject_order_4():
+    with pytest.raises(ValueError, match="lift4 expects an order-2 character"):
+        Character(4, (1, 0, 0, 0)).lift4()
+    with pytest.raises(ValueError, match="phi2 expects an order-2 torsion point"):
+        phi2(make_lattice(2), TorsionPoint(4, (1, 0, 0, 0)))
+    with pytest.raises(ValueError, match="square roots are taken of order-2 characters"):
+        square_roots(Character(4, (2, 0, 0, 0)))
+
+
+def test_square_of_an_order_2_character_is_trivial():
+    for exps in product(range(2), repeat=4):
+        assert Character(2, exps).square().is_trivial()
+
+
 def test_square_roots_of_chi1():
     roots = square_roots(Character(2, (0, 0, 1, 0)))
     assert {r.exponents for r in roots} == {

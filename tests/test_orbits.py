@@ -39,7 +39,7 @@ GENS = [g for _, g in GEN_LIST]
 
 def mul(a, b):
     """Group product: the member whose matrix is a's times b's."""
-    return member(mat_mul(a.entries, b.entries), a.d)
+    return member(mat_mul(a.entries, b.entries))
 
 
 CHARS = characters2_set(TABLE)
@@ -462,3 +462,17 @@ def test_labeled_set_rejects_duplicates():
     c = Character(2, (0, 0, 0, 0))
     with pytest.raises(ValueError, match="duplicate"):
         LabeledSet((c, c), ("a", "b"))
+
+
+def test_labeled_set_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="elements and labels must have equal length"):
+        LabeledSet((Character(2, (0, 0, 0, 0)),), ("a", "b"))
+
+
+def test_compose_rejects_a_degree_mismatch():
+    # either order: the shorter side would raise IndexError, the longer one
+    # would slice to a valid permutation of the wrong degree
+    small, large = Permutation((1, 0)), Permutation((1, 0, 2))
+    for p, q in ((small, large), (large, small)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            p.compose(q)

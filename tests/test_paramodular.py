@@ -31,7 +31,7 @@ GENS = [g for _, g in special_generators()]
 
 def mul(a, b):
     """Group product: the member whose matrix is a's times b's."""
-    return member(mat_mul(a.entries, b.entries), a.d)
+    return member(mat_mul(a.entries, b.entries))
 
 
 def mat_inv(a):
@@ -232,6 +232,19 @@ def test_act_pair_mismatch_rejected():
         act_pair(member(identity()), (q, bad_root))
 
 
+def test_act_pair_rejects_wrong_orders():
+    root = square_roots(TABLE.chi[1])[0]
+    with pytest.raises(ValueError, match=r"expected an \(order-2, order-4\) pair"):
+        act_pair(member(identity()), (root, root))
+
+
+def test_mat_rejects_every_other_shape():
+    # one wrong dimension is enough: 4 rows of 3, or 3 rows of 4
+    for rows in ([[0] * 3] * 4, [[0] * 4] * 3):
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            mat(rows)
+
+
 def test_act_pair_squaring_commutes():
     rng = random.Random(16)
     for _ in range(20):
@@ -386,12 +399,11 @@ def test_act_is_the_transpose_formula(cells, n, exps):
     monodromy = tuple(tuple(cells[4 * i : 4 * i + 4]) for i in range(4))
     c = Character(n, exps)
     want = tuple(sum(monodromy[k][j] * c.exponents[k] for k in range(4)) % n for j in range(4))
-    assert act(ParamodularMatrix(identity(), 2, monodromy), c) == Character(n, want)
+    assert act(ParamodularMatrix(identity(), monodromy), c) == Character(n, want)
 
 
 def test_serialization():
     j = gen_J()
-    assert j.d == 2
     assert j.entries[0][3] == 0
     assert j.entries[3][1] == Fraction(-1, 2)
     assert j.monodromy[0] == (0, 0, -1, 0)
@@ -470,12 +482,17 @@ def test_certificate_carries_the_monodromy_of_a_member(case):
     assert ("monodromy" in payload) == payload["member"]
     if cert.ok:
         want = tuple(tuple(int(x) for x in row) for row in monodromy_matrix(mat(rows), d))
-        assert cert.monodromy == member(rows, d).monodromy == want
+        assert cert.monodromy == want
         assert payload["monodromy"] == [list(row) for row in want]
     else:
         assert cert.monodromy is None
+    if d != 2:
+        return  # member wraps d=2 elements only
+    if cert.ok:
+        assert member(rows).monodromy == cert.monodromy
+    else:
         with pytest.raises(ValueError, match="not a group element"):
-            member(rows, d)
+            member(rows)
 
 
 # N^T E N is taken only when N is integral; this matrix breaks the pattern in

@@ -105,3 +105,22 @@ def test_every_traced_target_resolves():
             if not callable(obj):
                 missing.append(".".join((short, *path)))
     assert missing == []
+
+
+def test_validating_records_are_built_through_their_constructor():
+    # tuple.__new__(X, ...) skips X.__new__, so a record whose __new__ checks or
+    # normalises its fields must not be built that way; a record without one,
+    # such as ForestNode, may be
+    nodes = list(_package_nodes())
+    validating = {node.name for _, node in nodes if isinstance(node, ast.ClassDef)
+                  and any(isinstance(item, ast.FunctionDef) and item.name == "__new__"
+                          for item in node.body)}
+    assert validating == {"Character", "TorsionPoint", "LabeledSet", "Permutation",
+                          "ChernDatum"}
+    offenders = [f"{name}:{node.lineno} {node.args[0].id}" for name, node in nodes
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "__new__"
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "tuple"
+                 and node.args and isinstance(node.args[0], ast.Name)
+                 and node.args[0].id in validating]
+    assert offenders == []

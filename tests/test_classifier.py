@@ -99,6 +99,25 @@ def test_second_moduli_call_classifies_nothing(monkeypatch):
     assert len(calls) == 64
 
 
+def test_moduli_type_without_torsion_data_is_an_internal_failure(monkeypatch, capsys):
+    # a type that no torsion datum classifies as counts 0 torsion data: the
+    # cover-degree check fails with exit 1, where a KeyError would reach the
+    # invalid-input handler and exit 2
+    def without_type_ii(q, root, classify=classifier.classify):
+        t = classify(q, root)
+        return SurfaceType.Invalid if t is SurfaceType.II else t
+
+    monkeypatch.setattr(classifier, "classify", without_type_ii)
+    classifier._pair_counts.cache_clear()
+    try:
+        code = cli.main(["moduli"])
+    finally:
+        classifier._pair_counts.cache_clear()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "internal cross-check failure: type II: 0 torsion data but cover degree 48\n"
+
+
 @pytest.mark.parametrize("t", list(FAMILIES))
 def test_stated_cover_degree_checked_by_counts_and_orbits(monkeypatch, t):
     family = FAMILIES[t]

@@ -2,11 +2,14 @@
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from paramod import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "paramod"
@@ -124,3 +127,34 @@ def test_validating_records_are_built_through_their_constructor():
                  and node.args and isinstance(node.args[0], ast.Name)
                  and node.args[0].id in validating]
     assert offenders == []
+
+
+def test_no_cli_payload_holds_a_named_tuple(monkeypatch):
+    # the JSON writer prints any tuple as an array, so a record left in a
+    # payload would lose its field names and nothing else would fail
+    with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
+        commands = [key.split(" ") for key in json.load(fh)]
+    commands += [
+        ["classify", "--Q", "chi0", "--root", "0,0,0,0"],
+        ["classify", "--Q", "psi1", "--root", "0,0,0,1"],
+        ["act", "--gen", "J", "--char", "0,0,1,0", "--n", "4"],
+        ["act", "--matrix", "1,0,1,0,0,1,0,0,0,0,1,0,0,0,0,1", "--char", "psi2"],
+        ["membership", "--matrix", "1,0,0,0,0,1,0,0,0,0,1,0,0,1/3,0,1"],
+    ]
+    records = []
+
+    def walk(value, where):
+        if hasattr(value, "_fields"):
+            records.append(f"{where}: {type(value).__name__}")
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{where}.{key}")
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                walk(item, f"{where}[{i}]")
+
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        args = cli._build_parser().parse_args(argv)
+        walk(args.run[0](args), " ".join(argv))
+    assert records == []

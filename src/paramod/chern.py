@@ -16,7 +16,7 @@ h-vector of each of its conditions, and verified against that chi.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from paramod.errors import ConsistencyError
 
@@ -137,44 +137,22 @@ def curve_rr(g: int, deg: int) -> int:
     return deg + 1 - g
 
 
-class LedgerRow(NamedTuple):
-    """One cohomology record: stated h-vector plus the recomputed chi.
-
-    kind is 'surface' (h0, h1, h2) or 'curve' (h0, h1); entries that the
-    ledger's sources leave open are None and excluded from the alternating-sum
-    check.
-    """
-
-    obj: str
-    condition: str
-    kind: str
-    h0: Optional[int]
-    h1: Optional[int]
-    h2: Optional[int]
-    chi: int
-
-    def to_json(self) -> dict:
-        return {
-            "object": self.obj,
-            "condition": self.condition,
-            "kind": self.kind,
-            "h0": self.h0,
-            "h1": self.h1,
-            "h2": self.h2,
-            "chi": self.chi,
-        }
-
-
-def _checked_row(obj, condition, kind, h, chi) -> LedgerRow:
+def _checked_row(obj, condition, kind, h, chi) -> dict:
     # a curve has no h2; an entry left open (None) skips the check
     entries = h[:2] if kind == "curve" else h
     if None not in entries and sum(entries[::2]) - sum(entries[1::2]) != chi:
         raise ConsistencyError(f"{obj} [{condition}]: h-vector {h} does not sum to chi={chi}")
-    return LedgerRow(obj, condition, kind, *h, chi)
+    return {"object": obj, "condition": condition, "kind": kind,
+            "h0": h[0], "h1": h[1], "h2": h[2], "chi": chi}
 
 
-def dimension_ledger() -> list[LedgerRow]:
+def dimension_ledger() -> list[dict]:
     """Every cohomology dimension vector the classification relies on.
+
+    Each row is one (object, condition) with its stated h-vector (h0, h1, h2)
+    and the recomputed chi.  kind is 'surface' or 'curve'; a curve row has no
+    h2 (None).  Entries that the ledger's sources leave open are None and
+    excluded from the alternating-sum check.
 
     Each object's chi is recomputed once from the calculators in this module
     (plus short-exact-sequence replays for the blow-up tangent rows) and

@@ -39,37 +39,6 @@ class SurfaceType(enum.Enum):
     Invalid = "invalid"
 
 
-class ModuliComponent(NamedTuple):
-    name: str
-    dimension: int
-    cover_degree: int
-    connected: bool
-    irreducible: bool
-    generically_smooth: bool
-
-
-class SurfaceReport(NamedTuple):
-    type: SurfaceType
-    pg: int
-    q: int
-    K2: int
-    chi: int
-    pencil_genus: int
-    phi_z: int
-    canonical_fixed_part: bool
-    canonical_description: str
-    R_relation: str
-    branch_kind: str
-    N_beta: str
-    h0_N_beta: int
-    h1_TS: int
-    moduli: ModuliComponent
-    K_ample: str
-
-    def to_json(self) -> dict:
-        return {**self._asdict(), "type": self.type.value, "moduli": self.moduli._asdict()}
-
-
 class CanonicalSystem(NamedTuple):
     fixed_part: bool
     description: str
@@ -158,8 +127,12 @@ def h1_tangent(n_beta_trivial: bool) -> int:
     return ABELIAN_MODULI_DIM + (1 if n_beta_trivial else 0)
 
 
-def surface_report(t: SurfaceType) -> SurfaceReport:
-    """Full invariant and moduli record for a surface of type Ia, Ib or II."""
+def surface_report(t: SurfaceType) -> dict:
+    """Full invariant and moduli record for a surface of type Ia, Ib or II.
+
+    The record is the JSON object `paramod classify` prints: "type" is the
+    type's string value and "moduli" the component of the moduli space.
+    """
     if t not in FAMILIES:
         raise ValueError(
             f"no surface report for {t.value}; the degenerate branch is served "
@@ -167,21 +140,21 @@ def surface_report(t: SurfaceType) -> SurfaceReport:
         )
     family = FAMILIES[t]
     h1 = h1_tangent(family.n_beta_trivial)
-    return SurfaceReport(
-        type=t, pg=2, q=2, K2=6, chi=1,
-        pencil_genus=family.pencil_genus,
-        phi_z=family.phi_z,
-        canonical_fixed_part=family.canonical.fixed_part,
-        canonical_description=family.canonical.description,
-        R_relation=family.R_relation,
-        branch_kind=family.branch.case,
-        N_beta="trivial" if family.n_beta_trivial else "nontrivial-2-torsion",
-        h0_N_beta=1 if family.n_beta_trivial else 0,
-        h1_TS=h1,
-        moduli=ModuliComponent(t.value, h1, family.cover_degree, connected=True,
-                               irreducible=True, generically_smooth=True),
-        K_ample=f"{family.ample} has ample canonical class",
-    )
+    return {
+        "type": t.value, "pg": 2, "q": 2, "K2": 6, "chi": 1,
+        "pencil_genus": family.pencil_genus,
+        "phi_z": family.phi_z,
+        "canonical_fixed_part": family.canonical.fixed_part,
+        "canonical_description": family.canonical.description,
+        "R_relation": family.R_relation,
+        "branch_kind": family.branch.case,
+        "N_beta": "trivial" if family.n_beta_trivial else "nontrivial-2-torsion",
+        "h0_N_beta": 1 if family.n_beta_trivial else 0,
+        "h1_TS": h1,
+        "moduli": {"name": t.value, "dimension": h1, "cover_degree": family.cover_degree,
+                   "connected": True, "irreducible": True, "generically_smooth": True},
+        "K_ample": f"{family.ample} has ample canonical class",
+    }
 
 
 def degenerate_report() -> dict:
@@ -233,19 +206,19 @@ def moduli_decomposition() -> dict:
     torsion data are compared with the cover degrees, and a mismatch raises
     ConsistencyError.
     """
-    reports = [surface_report(t) for t in FAMILIES]
+    components = {t: surface_report(t)["moduli"] for t in FAMILIES}
     counts = pair_counts()
-    for rep in reports:
-        if counts.get(rep.type, 0) != rep.moduli.cover_degree:
+    for t, component in components.items():
+        if counts.get(t, 0) != component["cover_degree"]:
             raise ConsistencyError(
-                f"type {rep.type.value}: {counts.get(rep.type, 0)} torsion data but "
-                f"cover degree {rep.moduli.cover_degree}"
+                f"type {t.value}: {counts.get(t, 0)} torsion data but "
+                f"cover degree {component['cover_degree']}"
             )
     return {
-        "components": [rep.moduli._asdict() for rep in reports],
-        "component_count": len(reports),
-        "dimensions": [rep.moduli.dimension for rep in reports],
-        "pair_counts": {rep.type.value: counts[rep.type] for rep in reports},
+        "components": list(components.values()),
+        "component_count": len(components),
+        "dimensions": [component["dimension"] for component in components.values()],
+        "pair_counts": {t.value: counts[t] for t in components},
         "degenerate_pairs": counts.get(SurfaceType.PG3, 0),
         "ample_canonical": {t.value: family.ample.removeprefix("the ")
                             for t, family in FAMILIES.items()},

@@ -257,7 +257,7 @@ def _cmd_classify(args) -> dict:
     elif t is classifier.SurfaceType.PG3:
         payload["report"] = classifier.degenerate_report()
     else:
-        payload["report"] = classifier.surface_report(t).to_json()
+        payload["report"] = classifier.surface_report(t)
         payload["branch"] = classifier.branch_curve_kind(t)
     return payload
 
@@ -339,10 +339,8 @@ def _cmd_moduli(_args) -> dict:
 
 
 def _cmd_ledger(_args) -> dict:
-    rows = chern.dimension_ledger()
-    checks = chern.eagon_northcott_checks()
-    return {"rows": [r.to_json() for r in rows],
-            "chi_additivity": checks}
+    return {"rows": chern.dimension_ledger(),
+            "chi_additivity": chern.eagon_northcott_checks()}
 
 
 def _ledger_text(payload: dict):

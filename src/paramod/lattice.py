@@ -89,9 +89,6 @@ class Character(_CharacterFields):
         table = {0: "1", 1: "i", 2: "-1", 3: "-i"}
         return tuple(table[e] for e in self.exponents)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "exp": list(self.exponents)}
-
 
 class CharacterTable(NamedTuple):
     """The 16 order-2 characters for d=2, split and labeled.
@@ -188,8 +185,7 @@ def character_table(lattice: SymplecticLattice) -> CharacterTable:
 
 def character_to_json(c: Character) -> dict:
     """Serialized form with display values and, for order 2, the d=2 table label."""
-    out = c.to_json()
-    out["values"] = list(c.values())
+    out = {"n": c.n, "exp": list(c.exponents), "values": list(c.values())}
     if c.n == 2:
         out["label"] = character_table(make_lattice(2)).label_of(c)
     return out

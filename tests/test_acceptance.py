@@ -202,10 +202,10 @@ def test_criterion_09_classification_table():
                 SurfaceType.II: (5, 3, 3)}
     for t, (genus, h1, dim) in expected.items():
         rep = surface_report(t)
-        assert (rep.pg, rep.q, rep.K2) == (2, 2, 6)
-        assert rep.pencil_genus == genus
-        assert rep.h1_TS == h1
-        assert rep.moduli.dimension == dim
+        assert (rep["pg"], rep["q"], rep["K2"]) == (2, 2, 6)
+        assert rep["pencil_genus"] == genus
+        assert rep["h1_TS"] == h1
+        assert rep["moduli"]["dimension"] == dim
     _report(9, "three types with counts 12/3/48, genera 5/3/5, h1 4/4/3, dims 4/4/3")
 
 

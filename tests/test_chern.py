@@ -217,14 +217,14 @@ def test_ledger_runs_clean():
 
 def test_ledger_alternating_sums():
     for r in dimension_ledger():
-        if r.kind == "surface" and None not in (r.h0, r.h1, r.h2):
-            assert r.h0 - r.h1 + r.h2 == r.chi
-        if r.kind == "curve" and None not in (r.h0, r.h1):
-            assert r.h0 - r.h1 == r.chi
+        if r["kind"] == "surface" and None not in (r["h0"], r["h1"], r["h2"]):
+            assert r["h0"] - r["h1"] + r["h2"] == r["chi"]
+        if r["kind"] == "curve" and None not in (r["h0"], r["h1"]):
+            assert r["h0"] - r["h1"] == r["chi"]
 
 
 def _row(rows, obj, condition):
-    matches = [r for r in rows if r.obj == obj and r.condition == condition]
+    matches = [r for r in rows if r["object"] == obj and r["condition"] == condition]
     assert len(matches) == 1, f"no unique row for {obj} [{condition}]"
     return matches[0]
 
@@ -232,35 +232,35 @@ def _row(rows, obj, condition):
 def test_ledger_key_rows():
     rows = dimension_ledger()
     r = _row(rows, "ext_bundle", "any")
-    assert (r.h0, r.h1, r.h2, r.chi) == (1, 0, 0, 1)
+    assert (r["h0"], r["h1"], r["h2"], r["chi"]) == (1, 0, 0, 1)
     r = _row(rows, "sym2_adjoint (x) torsion", "torsion in image^x")
-    assert (r.h0, r.h1, r.h2, r.chi) == (1, 2, 1, 0)
+    assert (r["h0"], r["h1"], r["h2"], r["chi"]) == (1, 2, 1, 0)
     r = _row(rows, "sym3_adjoint (x) torsion", "any torsion twist")
-    assert (r.h0, r.h1, r.h2, r.chi) == (2, 0, 0, 2)
+    assert (r["h0"], r["h1"], r["h2"], r["chi"]) == (2, 0, 0, 2)
 
 
 def test_ledger_quadruple_point_system():
     rows = dimension_ledger()
-    assert _row(rows, "L^2 (x) torsion (x) I_o^4", "torsion trivial").h0 == 2
-    assert _row(rows, "L^2 (x) torsion (x) I_o^4", "torsion in image^x").h0 == 1
-    assert _row(rows, "L^2 (x) torsion (x) I_o^4", "torsion outside image").h0 == 0
+    assert _row(rows, "L^2 (x) torsion (x) I_o^4", "torsion trivial")["h0"] == 2
+    assert _row(rows, "L^2 (x) torsion (x) I_o^4", "torsion in image^x")["h0"] == 1
+    assert _row(rows, "L^2 (x) torsion (x) I_o^4", "torsion outside image")["h0"] == 0
 
 
 def test_ledger_blowup_tangent_chain():
     rows = dimension_ledger()
     tb = _row(rows, "blow-up tangent", "any")
-    assert (tb.h0, tb.h1, tb.h2, tb.chi) == (0, 4, 2, -2)
+    assert (tb["h0"], tb["h1"], tb["h2"], tb["chi"]) == (0, 4, 2, -2)
     twist = _row(rows, "blow-up tangent (x) inverse root", "nontrivial square root")
-    assert (twist.h0, twist.h1, twist.h2, twist.chi) == (0, 0, 2, 2)
+    assert (twist["h0"], twist["h1"], twist["h2"], twist["chi"]) == (0, 0, 2, 2)
     pullback = _row(rows, "cover pullback of blow-up tangent", "finite double cover")
-    assert (pullback.h0, pullback.h1, pullback.h2) == (0, 4, 4)
-    assert pullback.chi == tb.chi + twist.chi == 0
+    assert (pullback["h0"], pullback["h1"], pullback["h2"]) == (0, 4, 4)
+    assert pullback["chi"] == tb["chi"] + twist["chi"] == 0
 
 
 def test_ledger_curve_rows():
     rows = dimension_ledger()
     r = _row(rows, "degree-0 torsion on a genus-3 pencil member", "torsion in image")
-    assert (r.h0, r.h1, r.chi) == (1, 3, -2)
+    assert (r["h0"], r["h1"], r["chi"]) == (1, 3, -2)
 
 
 def test_checked_row_raises_on_mismatch():
@@ -274,7 +274,7 @@ def test_checked_row_curve_sums_h0_and_h1_only():
     with pytest.raises(ConsistencyError, match=r"bogus \[any\]: h-vector \(0, 3, None\)"):
         _checked_row("bogus", "any", "curve", (0, 3, None), -2)
     # a curve's h2 slot is not part of its alternating sum
-    assert _checked_row("bogus", "any", "curve", (1, 3, 5), -2).chi == -2
+    assert _checked_row("bogus", "any", "curve", (1, 3, 5), -2)["chi"] == -2
     with pytest.raises(ConsistencyError):
         _checked_row("bogus", "any", "surface", (1, 3, 5), -2)
 

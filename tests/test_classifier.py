@@ -157,45 +157,45 @@ def test_classification_constant_on_orbits():
 ])
 def test_surface_report_table(t, dim, degree, h1, genus):
     rep = surface_report(t)
-    assert (rep.pg, rep.q, rep.K2) == (2, 2, 6)
-    assert rep.chi == 1 - rep.q + rep.pg == 1
-    assert rep.moduli.dimension == dim
-    assert rep.moduli.cover_degree == degree
-    assert rep.h1_TS == h1
-    assert rep.pencil_genus == genus
+    assert (rep["pg"], rep["q"], rep["K2"]) == (2, 2, 6)
+    assert rep["chi"] == 1 - rep["q"] + rep["pg"] == 1
+    assert rep["moduli"]["dimension"] == dim
+    assert rep["moduli"]["cover_degree"] == degree
+    assert rep["h1_TS"] == h1
+    assert rep["pencil_genus"] == genus
 
 
 def test_h1_recomputed_from_normal_sheaf():
     for t in (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II):
         rep = surface_report(t)
-        assert rep.h1_TS == 3 + rep.h0_N_beta
-        assert rep.h0_N_beta == (1 if rep.N_beta == "trivial" else 0)
+        assert rep["h1_TS"] == 3 + rep["h0_N_beta"]
+        assert rep["h0_N_beta"] == (1 if rep["N_beta"] == "trivial" else 0)
     assert h1_tangent(True) == 4
     assert h1_tangent(False) == 3
 
 
 def test_surface_report_type_Ia_shape():
     rep = surface_report(SurfaceType.Ia)
-    assert rep.phi_z == 8
-    assert not rep.canonical_fixed_part
-    assert rep.R_relation == "2R in |Phi|"
-    assert rep.N_beta == "trivial"
+    assert rep["phi_z"] == 8
+    assert not rep["canonical_fixed_part"]
+    assert rep["R_relation"] == "2R in |Phi|"
+    assert rep["N_beta"] == "trivial"
 
 
 def test_surface_report_type_Ib_shape():
     rep = surface_report(SurfaceType.Ib)
-    assert rep.canonical_fixed_part
-    assert "Z + |Phi|" in rep.canonical_description
-    assert rep.R_relation == "R in |Phi|"
+    assert rep["canonical_fixed_part"]
+    assert "Z + |Phi|" in rep["canonical_description"]
+    assert rep["R_relation"] == "R in |Phi|"
 
 
 def test_surface_report_type_II_shape():
     rep = surface_report(SurfaceType.II)
-    assert rep.phi_z == 8
-    assert not rep.canonical_fixed_part
-    assert rep.R_relation == "R = R1 + R2 with 4R1, 4R2 in |Phi|"
-    assert rep.N_beta == "nontrivial-2-torsion"
-    assert rep.K_ample == "every surface has ample canonical class"
+    assert rep["phi_z"] == 8
+    assert not rep["canonical_fixed_part"]
+    assert rep["R_relation"] == "R = R1 + R2 with 4R1, 4R2 in |Phi|"
+    assert rep["N_beta"] == "nontrivial-2-torsion"
+    assert rep["K_ample"] == "every surface has ample canonical class"
 
 
 def test_surface_report_rejects_degenerate():
@@ -249,9 +249,9 @@ def test_pencil_genus_derived_from_cover_geometry():
     pencil = BlowupLineBundle(2, -4)
     assert blowup_intersection(pencil, pencil) == 0
     g = genus_blowup_divisor(pencil)
-    assert surface_report(SurfaceType.Ia).pencil_genus == 2 * g - 1 == 5
-    assert surface_report(SurfaceType.II).pencil_genus == 2 * g - 1 == 5
-    assert surface_report(SurfaceType.Ib).pencil_genus == g == 3
+    assert surface_report(SurfaceType.Ia)["pencil_genus"] == 2 * g - 1 == 5
+    assert surface_report(SurfaceType.II)["pencil_genus"] == 2 * g - 1 == 5
+    assert surface_report(SurfaceType.Ib)["pencil_genus"] == g == 3
 
 
 def test_phi_z_derived_from_intersection_numbers():
@@ -260,9 +260,9 @@ def test_phi_z_derived_from_intersection_numbers():
     # when the pullback splits
     from paramod.chern import BlowupLineBundle, blowup_intersection
     d_dot_e = blowup_intersection(BlowupLineBundle(2, -4), BlowupLineBundle(0, 1))
-    assert surface_report(SurfaceType.Ia).phi_z == 2 * d_dot_e == 8
-    assert surface_report(SurfaceType.II).phi_z == 2 * d_dot_e == 8
-    assert surface_report(SurfaceType.Ib).phi_z == d_dot_e == 4
+    assert surface_report(SurfaceType.Ia)["phi_z"] == 2 * d_dot_e == 8
+    assert surface_report(SurfaceType.II)["phi_z"] == 2 * d_dot_e == 8
+    assert surface_report(SurfaceType.Ib)["phi_z"] == d_dot_e == 4
 
 
 def test_branch_kind_consistent_with_scenarios():
@@ -274,8 +274,8 @@ def test_branch_kind_consistent_with_scenarios():
             assert case in branch_curve_kind(t)["case"]
     for t in (SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II):
         rep = surface_report(t)
-        cases = [case for case in forests if case in rep.branch_kind]
+        cases = [case for case in forests if case in rep["branch_kind"]]
         assert cases
         for case in cases:
             inv = invariants(4, forest(forests[case]))
-            assert (inv.chi, inv.K2_resolved) == (rep.chi, rep.K2)
+            assert (inv.chi, inv.K2_resolved) == (rep["chi"], rep["K2"])

@@ -231,7 +231,8 @@ def test_character_values_mod4():
 
 def test_character_serialization():
     c = Character(2, (0, 1, 1, 0))
-    assert c.to_json() == {"n": 2, "exp": [0, 1, 1, 0]}
+    out = character_to_json(c)
+    assert {"n": out["n"], "exp": out["exp"]} == {"n": 2, "exp": [0, 1, 1, 0]}
 
 
 def test_parse_character():

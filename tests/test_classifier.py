@@ -100,9 +100,9 @@ def test_second_moduli_call_classifies_nothing(monkeypatch):
 
 
 def test_moduli_type_without_torsion_data_is_an_internal_failure(monkeypatch, capsys):
-    # a type that no torsion datum classifies as counts 0 torsion data: the
-    # cover-degree check fails with exit 1, where a KeyError would reach the
-    # invalid-input handler and exit 2
+    # with no torsion datum of type II its count is 0, and the cover-degree
+    # check fails with exit 1; a KeyError there would reach the invalid-input
+    # handler and exit 2
     def without_type_ii(q, root, classify=classifier.classify):
         t = classify(q, root)
         return SurfaceType.Invalid if t is SurfaceType.II else t

@@ -5,12 +5,14 @@ by default (--format text renders labels and cycle notation for humans).
 Output is byte-stable for fixed arguments: keys are sorted, no timestamps,
 no environment lookups.  The JSON is byte for byte what
 json.dumps(payload, sort_keys=True, indent=2) gives; _json_parts writes it,
-because CPython 3.11's C encoder cannot indent and json.dumps would run its
-pure-Python encoder instead.
+because the C encoder of CPython 3.10 to 3.12 cannot indent and json.dumps
+would run its pure-Python encoder instead (3.13's C encoder can).
 
 Exit codes: 0 success, 2 input validation failure (including text output
 that stdout cannot encode and output holding an integer too long to print),
-1 internal cross-check failure (which indicates a bug, never a bad input).
+1 internal cross-check failure or any other exception a handler raises
+(either indicates a bug, never a bad input; the latter is reported as
+"internal error: <type>: <message>" instead of a traceback).
 """
 
 from __future__ import annotations
@@ -196,12 +198,9 @@ def _resolve_generator(name: str):
 def _cmd_orbits(args) -> dict:
     report = orbits.standard_orbit_report(args.set)
     if args.closure:
-        pset, perms, _ = orbits.standard_set("psi12")
-        report["closure"] = orbits.group_closure(perms, len(pset.elements))._asdict()
-        report["permutations"] = {
-            name: perm.cycle_string(pset.labels)
-            for name, perm in zip(report["generators"], perms)
-        }
+        closure, cycles = orbits.psi12_closure()
+        report["closure"] = closure._asdict()
+        report["permutations"] = dict(zip(report["generators"], cycles))
     return report
 
 
@@ -398,6 +397,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
+    except Exception as exc:  # a bug; argparse's SystemExit is not an Exception
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 1
     try:
         _emit(payload, args.format, text_renderer)
     except UnicodeEncodeError as exc:

@@ -10,7 +10,9 @@ orbit listings, witness words and serialized reports are byte-stable across
 runs.  :func:`group_closure` counts the group in its own loop, which reads
 no words: it enumerates the group by whole cosets (Dimino's algorithm) over
 byte strings of at most 256 points, each product one ``bytes.translate``,
-and takes the closure's point orbits from the engine.
+and takes the closure's point orbits from the engine.  The standard sets and
+the CLI's psi12 closure are constants of the six generators: each is built
+once per process, the first time it is asked for, and never at import.
 """
 
 from __future__ import annotations
@@ -282,6 +284,18 @@ def standard_set(name: str) -> tuple[LabeledSet, tuple[Permutation, ...], OrbitP
         raise ValueError(f"unknown set {name!r}; choose characters2, psi12 or pairs48")
     tables = _tables(lset, [g for _, g in special_generators()], action)
     return lset, tuple(map(Permutation, tables)), _partition(len(lset.elements), tables)
+
+
+@functools.cache
+def psi12_closure() -> tuple[ClosureReport, tuple[str, ...]]:
+    """The group the six generators induce on psi12, and each generator's cycles.
+
+    Built once per process, the first time ``paramod orbits --closure`` asks
+    for it; every call returns the same immutable objects.
+    """
+    lset, perms, _ = standard_set("psi12")
+    return (group_closure(perms, len(lset.elements)),
+            tuple(p.cycle_string(lset.labels) for p in perms))
 
 
 def standard_orbit_report(set_name: str) -> dict:

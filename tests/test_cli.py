@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import unicodedata
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from paramod import classifier, cli, orbits, paramodular
+from paramod import chern, classifier, cli, orbits, paramodular
 from paramod.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -416,6 +417,27 @@ def test_internal_cross_check_failure_exits_1(monkeypatch, capsys):
     assert "internal cross-check failure" in err
 
 
+@pytest.mark.parametrize("module,name,argv", [
+    (orbits, "psi12_closure", ["orbits", "--set", "psi12", "--closure"]),
+    (paramodular, "act", ["act", "--gen", "J", "--char", "psi1"]),
+    (chern, "dimension_ledger", ["ledger"]),
+], ids=["closure", "act", "ledger"])
+def test_other_handler_exceptions_exit_1(monkeypatch, capsys, module, name, argv):
+    # an exception outside the contract's types is a bug: exit 1 with a one-line
+    # message, not a traceback; cli imports act by name, so patch every
+    # namespace that holds the function
+    def boom(*args):
+        raise IndexError("forced for the exit-code test")
+
+    original = getattr(module, name)
+    for namespace in (cli, orbits, paramodular, chern):
+        if getattr(namespace, name, None) is original:
+            monkeypatch.setattr(namespace, name, boom)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "internal error: IndexError: forced for the exit-code test\n"
+
+
 _IDENTITY = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
 
 
@@ -537,6 +559,57 @@ def test_stored_stdout_twice_in_one_process(monkeypatch, capsys):
     # bytes hold no closure; check the report itself once more
     assert main(["orbits", "--set", "psi12"]) == 0
     assert "closure" not in json.loads(capsys.readouterr().out)
+
+
+def test_only_closure_commands_build_the_closure(monkeypatch, capsys):
+    # the psi12 closure is built on the first `orbits --closure`; every other
+    # stored command, and importing the CLI, must not pay for it
+    def boom(*args):
+        raise RuntimeError("group_closure called")
+
+    with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
+        stored = json.load(fh)
+    monkeypatch.chdir(ROOT)
+    orbits.psi12_closure.cache_clear()
+    monkeypatch.setattr(orbits, "group_closure", boom)
+    for key in stored:
+        if "--closure" not in key:
+            assert main(key.split(" ")) == 0, key
+            assert capsys.readouterr().out == stored[key], key
+    assert orbits.psi12_closure.cache_info().currsize == 0
+    code = "import paramod.cli, paramod.orbits as o; print(o.psi12_closure.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "0\n"
+
+
+def test_set_building_goldens_under_hash_seeds_and_optimize():
+    # orbits and moduli build sets and dicts of hashed states; in fresh
+    # processes with two hash seeds and under -O (a random seed, no asserts)
+    # each must still print its stored bytes
+    with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
+        stored = json.load(fh)
+    keys = [key for key in stored
+            if key.split(" ")[2 if key.startswith("--format") else 0] in ("orbits", "moduli")]
+    assert len(keys) == 10
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.pop("PYTHONHASHSEED", None)
+    configs = [({"PYTHONHASHSEED": "0"}, []), ({"PYTHONHASHSEED": "1"}, []), ({}, ["-O"])]
+
+    def run(job):
+        key, (extra_env, flags) = job
+        proc = subprocess.run([sys.executable, *flags, "-m", "paramod", *key.split(" ")],
+                              cwd=ROOT, env={**env, **extra_env}, capture_output=True)
+        return key, extra_env, flags, proc.returncode, proc.stdout
+
+    jobs = [(key, config) for key in keys for config in configs]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        results = list(pool.map(run, jobs))
+    mismatches = [(key, extra_env, flags, code) for key, extra_env, flags, code, out in results
+                  if code != 0 or out != stored[key].encode("utf-8")]
+    assert mismatches == []
 
 
 def test_cached_parser_keeps_no_state(monkeypatch, capsys):

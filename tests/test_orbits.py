@@ -426,6 +426,16 @@ def test_standard_set_built_once():
     assert part == orbits_all(lset, GENS, act)
 
 
+def test_psi12_closure_is_built_once_and_matches_a_fresh_closure():
+    orbits.psi12_closure.cache_clear()
+    closure, cycles = orbits.psi12_closure()
+    lset, perms, _ = standard_set("psi12")
+    assert closure == group_closure(perms, len(lset.elements)) == (576, False, True, (12,))
+    assert cycles == tuple(p.cycle_string(lset.labels) for p in perms)
+    assert orbits.psi12_closure() is orbits.psi12_closure()
+    assert orbits.psi12_closure.cache_info().misses == 1
+
+
 @given(st.sampled_from(["characters2", "psi12", "pairs48"]), st.data())
 def test_tables_replay_the_action(name, data):
     lset, perms, _ = standard_set(name)

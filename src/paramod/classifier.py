@@ -13,20 +13,19 @@ square root sits:
 
 The paper's stated facts about the three families are held once, in
 :data:`FAMILIES`; the reports read them from there.  Everything else is
-recomputed where possible (h^1 of the tangent sheaf from the normal-sheaf
+recomputed where possible: h^1 of the tangent sheaf from the normal-sheaf
 contribution, each moduli dimension as that h^1 because the components are
-generically smooth, and the pair counts over all torsion data, which must
-equal the stated cover degrees).
+generically smooth, and each pair count as the size of its type's one orbit
+of valid torsion data, which must equal the stated cover degree.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from typing import NamedTuple
 
 from paramod.errors import ConsistencyError
-from paramod.lattice import Character, character_table, make_lattice, square_roots
+from paramod.lattice import Character, character_table, make_lattice
 
 ABELIAN_MODULI_DIM = 3
 
@@ -177,34 +176,18 @@ def branch_curve_kind(t: SurfaceType) -> dict:
     return FAMILIES[t].branch._asdict()
 
 
-def all_valid_pairs() -> list[tuple[Character, Character, SurfaceType]]:
-    """Every (Q, root) with Q in the image, with its type; deterministic order."""
-    out = []
-    for q in sorted(character_table(make_lattice(2)).chi):
-        for root in square_roots(q):
-            out.append((q, root, classify(q, root)))
-    return out
-
-
-@functools.cache
-def _pair_counts() -> dict[SurfaceType, int]:
-    counts: dict[SurfaceType, int] = {}
-    for _, _, t in all_valid_pairs():
-        counts[t] = counts.get(t, 0) + 1
-    return counts
-
-
 def pair_counts() -> dict[SurfaceType, int]:
-    """Valid torsion data per type, classified once per process; a fresh dict."""
-    return dict(_pair_counts())
+    """Valid torsion data per type, the size of the type's one orbit; a fresh dict."""
+    from paramod.orbits import torsion_orbits  # orbits imports this module
+    return {t: len(data) for t, data in torsion_orbits()}
 
 
 def moduli_decomposition() -> dict:
     """The three-component moduli decomposition with all cross-checks applied.
 
-    Dimensions are h^1 of the tangent sheaf; pair counts over all valid
-    torsion data are compared with the cover degrees, and a mismatch raises
-    ConsistencyError.
+    Dimensions are h^1 of the tangent sheaf; the pair counts and component
+    count are read from the orbits of the valid torsion data, and each call
+    compares the counts with the cover degrees: a mismatch raises ConsistencyError.
     """
     components = {t: surface_report(t)["moduli"] for t in FAMILIES}
     counts = pair_counts()
@@ -216,7 +199,7 @@ def moduli_decomposition() -> dict:
             )
     return {
         "components": list(components.values()),
-        "component_count": len(components),
+        "component_count": sum(t in FAMILIES for t in counts),
         "dimensions": [component["dimension"] for component in components.values()],
         "pair_counts": {t.value: counts[t] for t in components},
         "degenerate_pairs": counts.get(SurfaceType.PG3, 0),

@@ -10,9 +10,9 @@ would run its pure-Python encoder instead (3.13's C encoder can).
 
 Exit codes: 0 success, 2 input validation failure (including text output
 that stdout cannot encode and output holding an integer too long to print),
-1 internal cross-check failure or any other exception a handler raises
-(either indicates a bug, never a bad input; the latter is reported as
-"internal error: <type>: <message>" instead of a traceback).
+1 internal cross-check failure or any other exception a handler or a text
+renderer raises (either indicates a bug, never a bad input; the latter is
+reported as "internal error: <type>: <message>" instead of a traceback).
 """
 
 from __future__ import annotations
@@ -415,6 +415,9 @@ def main(argv=None) -> int:
         sys.stderr.write("invalid input: the output holds an integer with more "
                          "digits than Python writes as text\n")
         return 2
+    except Exception as exc:  # a bug in a text renderer; nothing was written
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 1
     return 0
 
 

@@ -12,7 +12,8 @@ no words: it enumerates the group by whole cosets (Dimino's algorithm) over
 byte strings of at most 256 points, each product one ``bytes.translate``,
 and takes the closure's point orbits from the engine.  The standard sets and
 the CLI's psi12 closure are constants of the six generators: each is built
-once per process, the first time it is asked for, and never at import.
+once per process, the first time it is asked for, and never at import; so is
+:func:`torsion_orbits`, the typed orbits the moduli decomposition counts.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
+from paramod import classifier
 from paramod.classifier import FAMILIES, SurfaceType
 from paramod.errors import ConsistencyError
 from paramod.lattice import (
@@ -256,10 +258,10 @@ def psi_set(table: CharacterTable) -> LabeledSet:
     return LabeledSet(table.psi, tuple(map(table.label_of, table.psi)))
 
 
-def pairs48_set(table: CharacterTable) -> LabeledSet:
+def pair_set(table: CharacterTable, bases: Sequence) -> LabeledSet:
     elements = []
     labels = []
-    for q in table.chi[1:]:
+    for q in bases:
         base = table.label_of(q)
         for r in square_roots(q):
             elements.append((q, r))
@@ -279,9 +281,11 @@ def standard_set(name: str) -> tuple[LabeledSet, tuple[Permutation, ...], OrbitP
     elif name == "psi12":
         lset, action = psi_set(table), act
     elif name == "pairs48":
-        lset, action = pairs48_set(table), act_pair
+        lset, action = pair_set(table, table.chi[1:]), act_pair
+    elif name == "torsion64":
+        lset, action = pair_set(table, table.chi), act_pair
     else:
-        raise ValueError(f"unknown set {name!r}; choose characters2, psi12 or pairs48")
+        raise ValueError(f"unknown set {name!r}; choose characters2, psi12, pairs48 or torsion64")
     tables = _tables(lset, [g for _, g in special_generators()], action)
     return lset, tuple(map(Permutation, tables)), _partition(len(lset.elements), tables)
 
@@ -296,6 +300,23 @@ def psi12_closure() -> tuple[ClosureReport, tuple[str, ...]]:
     lset, perms, _ = standard_set("psi12")
     return (group_closure(perms, len(lset.elements)),
             tuple(p.cycle_string(lset.labels) for p in perms))
+
+
+@functools.cache
+def torsion_orbits() -> tuple[tuple[SurfaceType, tuple], ...]:
+    """The orbits of the 64 valid torsion data, each with the one type its data have;
+    ConsistencyError names an orbit with two types, or with an earlier orbit's type.
+    """
+    lset, _, part = standard_set("torsion64")
+    typed = {}
+    for block in part.blocks:
+        types = {classifier.classify(*lset.elements[i]) for i in block}
+        if len(types) != 1 or types <= typed.keys():
+            raise ConsistencyError(
+                f"torsion-data orbit of {lset.labels[block[0]]} has types "
+                f"{sorted(t.value for t in types)}, earlier orbits {[t.value for t in typed]}")
+        typed[types.pop()] = tuple(lset.elements[i] for i in block)
+    return tuple(typed.items())
 
 
 def standard_orbit_report(set_name: str) -> dict:
@@ -328,37 +349,29 @@ def standard_orbit_report(set_name: str) -> dict:
 def component_report() -> dict:
     """Connected-component and cover-degree summary for the decorated moduli.
 
-    Each family's cover degree in ``classifier.FAMILIES`` is compared with
-    the size of the orbit the orbit engine computes for it; a mismatch
-    raises ConsistencyError.  The Ia and Ib orbits are disjoint in the 16
-    characters, and the trivial character is left alone as the third orbit.
+    Each call compares the size of each family's orbit in :func:`torsion_orbits`
+    with its cover degree in ``classifier.FAMILIES``; a mismatch, or a family
+    with no orbit, raises ConsistencyError.
     """
-    lset16, _, part16 = standard_set("characters2")
-    orbit_size = {lset16.labels[i]: len(block) for block in part16.blocks for i in block}
-    lset48, _, part48 = standard_set("pairs48")
-    bases = {q for q, _ in lset48.elements}
-    factorization = f"{len(bases)} * {len(lset48.elements) // len(bases)}"
+    orbit_of = dict(torsion_orbits())
 
-    def component(name, marking, family, orbit_size_check, **extra) -> dict:
+    def component(name, marking, family) -> dict:
         cover_degree = FAMILIES[family].cover_degree
+        orbit_size_check = len(orbit_of.get(family, ()))
         if orbit_size_check != cover_degree:
             raise ConsistencyError(
-                f"component {name}: cover degree {cover_degree} but orbit size "
-                f"{orbit_size_check}; if the pair orbit split, the six standard "
-                "generators no longer suffice and the family must be augmented"
-            )
+                f"component {name}: cover degree {cover_degree} but orbit size {orbit_size_check}")
         return {"name": name, "marking": marking, "cover_degree": cover_degree,
-                "orbit_size_check": orbit_size_check, **extra}
+                "orbit_size_check": orbit_size_check}
 
+    single = component("single", "(2-torsion bundle in the image, order-4 square root)",
+                       SurfaceType.II)
+    bases = {q for q, _ in orbit_of[SurfaceType.II]}
+    single["factorization"] = f"{len(bases)} * {single['orbit_size_check'] // len(bases)}"
     return {
         "marked_2torsion_space": {"components": [
-            component("a", "2-torsion bundle outside the polarization image",
-                      SurfaceType.Ia, orbit_size["psi1"]),
-            component("b", "2-torsion bundle in the polarization image",
-                      SurfaceType.Ib, orbit_size["chi1"]),
+            component("a", "2-torsion bundle outside the polarization image", SurfaceType.Ia),
+            component("b", "2-torsion bundle in the polarization image", SurfaceType.Ib),
         ]},
-        "marked_root_pair_space": {"components": [
-            component("single", "(2-torsion bundle in the image, order-4 square root)",
-                      SurfaceType.II, len(part48.blocks[0]), factorization=factorization),
-        ]},
+        "marked_root_pair_space": {"components": [single]},
     }

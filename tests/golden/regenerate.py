@@ -18,13 +18,20 @@ ROOT = Path(__file__).resolve().parents[2]
 STORED = Path(__file__).resolve().parent / "stdout.json"
 
 
+def run(key: str, python: str = sys.executable, flags: tuple = (),
+        env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run the stored command key as `python [flags] -m paramod` from the root."""
+    return subprocess.run([python, *flags, "-m", "paramod", *key.split(" ")],
+                          cwd=ROOT, env=env, capture_output=True)
+
+
 def main() -> int:
     with open(STORED, encoding="utf-8") as fh:
         keys = list(json.load(fh))
     stored = {}
     for key in keys:
-        proc = subprocess.run([sys.executable, "-m", "paramod", *key.split(" ")],
-                              cwd=ROOT, capture_output=True, check=True)
+        proc = run(key)
+        proc.check_returncode()
         stored[key] = proc.stdout.decode("utf-8")
     with open(STORED, "w", encoding="utf-8") as fh:
         json.dump(stored, fh, indent=1, sort_keys=True)

@@ -18,16 +18,17 @@ from paramod.chern import (
     sym2_adjoint,
     sym3_adjoint,
 )
-from paramod.classifier import SurfaceType, all_valid_pairs, surface_report
+from paramod.classifier import SurfaceType, classify, surface_report
 from paramod.doublecover import forest, invariants
 from paramod.lattice import character_table, make_lattice
 from paramod.orbits import (
     characters2_set,
     group_closure,
     orbits_all,
-    pairs48_set,
+    pair_set,
     permutation_of,
     psi_set,
+    standard_set,
 )
 from paramod.paramodular import (
     act,
@@ -84,7 +85,7 @@ def test_criterion_03_transitivity():
 
 
 def test_criterion_04_pair_orbit():
-    part = orbits_all(pairs48_set(TABLE), GENS, act_pair)
+    part = orbits_all(pair_set(TABLE, TABLE.chi[1:]), GENS, act_pair)
     assert part.sizes() == [48], (
         f"pair orbit sizes {part.sizes()}: the six standard generators no "
         "longer act transitively on the 48 pairs and the generator family "
@@ -192,9 +193,10 @@ def test_criterion_08_double_cover_invariants():
 
 def test_criterion_09_classification_table():
     counts = {}
-    for _, root, t in all_valid_pairs():
+    for q, root in standard_set("torsion64")[0].elements:
         if root.is_trivial():
             continue
+        t = classify(q, root)
         counts[t] = counts.get(t, 0) + 1
     assert counts == {SurfaceType.Ia: 12, SurfaceType.Ib: 3, SurfaceType.II: 48}
 
@@ -210,9 +212,9 @@ def test_criterion_09_classification_table():
 
 
 def test_criterion_10_orbit_invariance_of_classification():
-    from paramod.classifier import classify
     violations = []
-    for q, root, t in all_valid_pairs():
+    for q, root in standard_set("torsion64")[0].elements:
+        t = classify(q, root)
         for name, m in GEN_LIST:
             got = classify(act(m, q), act(m, root))
             if got is not t:

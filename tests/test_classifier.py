@@ -3,11 +3,10 @@ import sys
 
 import pytest
 
-from paramod import classifier, cli
+from paramod import classifier, cli, orbits
 from paramod.classifier import (
     FAMILIES,
     SurfaceType,
-    all_valid_pairs,
     branch_curve_kind,
     classify,
     degenerate_report,
@@ -19,12 +18,13 @@ from paramod.classifier import (
 from paramod.doublecover import forest, invariants
 from paramod.errors import ConsistencyError
 from paramod.lattice import Character, character_table, make_lattice, square_roots
-from paramod.orbits import component_report
+from paramod.orbits import component_report, standard_set
 from paramod.paramodular import act, special_generators
 
 TABLE = character_table(make_lattice(2))
 TRIVIAL = TABLE.chi[0]
 GENS = [g for _, g in special_generators()]
+TORSION_DATA = standard_set("torsion64")[0].elements
 
 
 def test_classify_type_Ia():
@@ -92,7 +92,7 @@ def test_second_moduli_call_classifies_nothing(monkeypatch):
         return classify(q, root)
 
     monkeypatch.setattr(classifier, "classify", counted)
-    classifier._pair_counts.cache_clear()
+    orbits.torsion_orbits.cache_clear()
     assert cli.main(["moduli"]) == 0
     assert len(calls) == 64
     assert cli.main(["moduli"]) == 0
@@ -102,20 +102,75 @@ def test_second_moduli_call_classifies_nothing(monkeypatch):
 def test_moduli_type_without_torsion_data_is_an_internal_failure(monkeypatch, capsys):
     # with no torsion datum of type II its count is 0, and the cover-degree
     # check fails with exit 1; a KeyError there would reach the invalid-input
-    # handler and exit 2
+    # handler and exit 2; the component report, checked on its own, sees an
+    # orbit of size 0 in the same way
     def without_type_ii(q, root, classify=classifier.classify):
         t = classify(q, root)
         return SurfaceType.Invalid if t is SurfaceType.II else t
 
     monkeypatch.setattr(classifier, "classify", without_type_ii)
-    classifier._pair_counts.cache_clear()
+    orbits.torsion_orbits.cache_clear()
     try:
         code = cli.main(["moduli"])
+        with pytest.raises(ConsistencyError,
+                           match="^component single: cover degree 48 but orbit size 0$"):
+            component_report()
     finally:
-        classifier._pair_counts.cache_clear()
+        orbits.torsion_orbits.cache_clear()
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == "internal cross-check failure: type II: 0 torsion data but cover degree 48\n"
+
+
+_IA_DATUM = (TRIVIAL, TABLE.psi[4].lift4())
+_IB_DATUM = (TRIVIAL, TABLE.chi[1].lift4())
+
+
+@pytest.mark.parametrize("retyped, message", [
+    # one Ia and one Ib datum swap types: the counts stay 12 and 3, and only
+    # the orbit check sees that the type is not constant on the Ia orbit
+    ({_IA_DATUM: SurfaceType.Ib, _IB_DATUM: SurfaceType.Ia},
+     "torsion-data orbit of (chi0, 0,0,0,2) has types ['Ia', 'Ib'], earlier orbits ['pg3']"),
+    # every Ib datum typed Ia: each orbit keeps one type, but Ia labels two
+    ({datum: SurfaceType.Ia for datum in TORSION_DATA
+      if classify(*datum) is SurfaceType.Ib},
+     "torsion-data orbit of (chi0, 0,0,2,0) has types ['Ia'], earlier orbits ['pg3', 'Ia']"),
+], ids=["swap-Ia-Ib", "merge-Ib-into-Ia"])
+def test_moduli_type_not_one_orbit_is_an_internal_failure(monkeypatch, capsys, retyped,
+                                                          message):
+    def patched(q, root, classify=classifier.classify):
+        return retyped.get((q, root)) or classify(q, root)
+
+    monkeypatch.setattr(classifier, "classify", patched)
+    orbits.torsion_orbits.cache_clear()
+    try:
+        code = cli.main(["moduli"])
+    finally:
+        orbits.torsion_orbits.cache_clear()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"internal cross-check failure: {message}\n"
+
+
+def test_moduli_builds_only_the_torsion_set_in_a_fresh_process():
+    code = (
+        "import contextlib, io\n"
+        "from paramod import classifier, cli, orbits\n"
+        "calls = []\n"
+        "def counted(q, root, classify=classifier.classify):\n"
+        "    calls.append((q, root))\n"
+        "    return classify(q, root)\n"
+        "classifier.classify = counted\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['moduli']) == 0\n"
+        "built = orbits.standard_set.cache_info().misses\n"
+        "orbits.standard_set('torsion64')\n"
+        "print(built, orbits.standard_set.cache_info().misses, len(calls))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    # one set was built, and asking for the torsion set builds nothing more
+    assert out.split() == ["1", "1", "64"]
 
 
 @pytest.mark.parametrize("t", list(FAMILIES))
@@ -137,13 +192,14 @@ def test_importing_classifier_builds_no_table():
 
 
 def test_three_types_over_nontrivial_data():
-    types = {t for _, root, t in all_valid_pairs() if not root.is_trivial()}
+    types = {classify(q, root) for q, root in TORSION_DATA if not root.is_trivial()}
     assert types == {SurfaceType.Ia, SurfaceType.Ib, SurfaceType.II}
 
 
 def test_classification_constant_on_orbits():
     violations = 0
-    for q, root, t in all_valid_pairs():
+    for q, root in TORSION_DATA:
+        t = classify(q, root)
         for m in GENS:
             if classify(act(m, q), act(m, root)) is not t:
                 violations += 1
@@ -235,9 +291,9 @@ def test_moduli_decomposition():
 
 
 def test_valid_pair_universe_size():
-    pairs = all_valid_pairs()
-    assert len(pairs) == 64
-    assert len({(q, r) for q, r, _ in pairs}) == 64
+    assert len(TORSION_DATA) == 64
+    assert len(set(TORSION_DATA)) == 64
+    assert set(TORSION_DATA) == {(q, r) for q in TABLE.chi for r in square_roots(q)}
 
 
 def test_pencil_genus_derived_from_cover_geometry():

@@ -14,7 +14,7 @@ from paramod.orbits import (
     group_closure,
     orbit,
     orbits_all,
-    pairs48_set,
+    pair_set,
     permutation_of,
     psi_set,
     standard_orbit_report,
@@ -85,7 +85,7 @@ def test_orbits_all_no_generators():
 
 
 def test_pairs48_single_orbit():
-    part = orbits_all(pairs48_set(TABLE), GENS, act_pair)
+    part = orbits_all(pair_set(TABLE, TABLE.chi[1:]), GENS, act_pair)
     assert part.sizes() == [48]
 
 
@@ -260,6 +260,7 @@ def _reference_group(perms, degree):
     ("characters2", 576, (1, 3, 12), False),
     ("psi12", 576, (12,), True),
     ("pairs48", 4608, (48,), True),
+    ("torsion64", 4608, (1, 3, 12, 48), False),
 ])
 def test_closure_of_standard_sets(name, order, sizes, transitive):
     lset, perms, _ = standard_set(name)
@@ -436,10 +437,10 @@ def test_psi12_closure_is_built_once_and_matches_a_fresh_closure():
     assert orbits.psi12_closure.cache_info().misses == 1
 
 
-@given(st.sampled_from(["characters2", "psi12", "pairs48"]), st.data())
+@given(st.sampled_from(["characters2", "psi12", "pairs48", "torsion64"]), st.data())
 def test_tables_replay_the_action(name, data):
     lset, perms, _ = standard_set(name)
-    action = act_pair if name == "pairs48" else act
+    action = act if name in ("characters2", "psi12") else act_pair
     i = data.draw(st.integers(0, len(lset.elements) - 1))
     state = lset.elements[i]
     for gi in data.draw(st.lists(st.integers(0, len(GENS) - 1), max_size=12)):
@@ -461,6 +462,7 @@ def test_second_moduli_call_applies_no_generator(monkeypatch):
         for name in calls:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     orbits.standard_set.cache_clear()
+    orbits.torsion_orbits.cache_clear()
     assert cli.main(["moduli"]) == 0
     assert calls["act"] > 0 and calls["act_pair"] > 0
     before = dict(calls)

@@ -158,3 +158,17 @@ def test_no_cli_payload_holds_a_named_tuple(monkeypatch):
         args = cli._build_parser().parse_args(argv)
         walk(args.run[0](args), " ".join(argv))
     assert records == []
+
+
+def test_golden_matrix_names_the_first_mismatch(monkeypatch):
+    # tools/golden_matrix.py runs the stored commands under other interpreters;
+    # here one command, under this one, must match and then be caught changed
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    golden_matrix = importlib.import_module("golden_matrix")
+    with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
+        stored = json.load(fh)
+    key = "chern --bundle 2,1,1"
+    assert golden_matrix.first_mismatch(sys.executable, {key: stored[key]}) is None
+    assert golden_matrix.first_mismatch(sys.executable, {key: stored[key] + " "}) == (
+        f"{sys.executable} (PYTHONHASHSEED=0): `paramod {key}` exited 0, "
+        "stdout differs from the stored bytes")

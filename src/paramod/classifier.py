@@ -16,12 +16,15 @@ The paper's stated facts about the three families are held once, in
 recomputed where possible: h^1 of the tangent sheaf from the normal-sheaf
 contribution, each moduli dimension as that h^1 because the components are
 generically smooth, and each pair count as the size of its type's one orbit
-of valid torsion data, which must equal the stated cover degree.
+of valid torsion data.  :func:`torsion_orbits` builds that partition once per
+process and checks it as it goes: each orbit has one type, no two orbits
+share one, and each family's orbit size equals its stated cover degree.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple
 
 from paramod.errors import ConsistencyError
@@ -176,32 +179,46 @@ def branch_curve_kind(t: SurfaceType) -> dict:
     return FAMILIES[t].branch._asdict()
 
 
-def pair_counts() -> dict[SurfaceType, int]:
-    """Valid torsion data per type, the size of the type's one orbit; a fresh dict."""
-    from paramod.orbits import torsion_orbits  # orbits imports this module
-    return {t: len(data) for t, data in torsion_orbits()}
+@functools.cache
+def torsion_orbits() -> tuple[tuple[SurfaceType, tuple], ...]:
+    """The orbits of the 64 valid torsion data, each with the one type its data have.
+
+    Built and checked once per process: ConsistencyError names an orbit with
+    two types or with an earlier orbit's type, then a family whose orbit size
+    is not its cover degree.
+    """
+    from paramod.orbits import standard_set  # orbits imports this module
+    lset, _, part = standard_set("torsion64")
+    typed = {}
+    for block in part.blocks:
+        types = {classify(*lset.elements[i]) for i in block}
+        if len(types) != 1 or types <= typed.keys():
+            raise ConsistencyError(
+                f"torsion-data orbit of {lset.labels[block[0]]} has types "
+                f"{sorted(t.value for t in types)}, earlier orbits {[t.value for t in typed]}")
+        typed[types.pop()] = tuple(lset.elements[i] for i in block)
+    for t, family in FAMILIES.items():
+        count = len(typed.get(t, ()))
+        if count != family.cover_degree:
+            raise ConsistencyError(
+                f"type {t.value}: {count} torsion data but cover degree {family.cover_degree}")
+    return tuple(typed.items())
 
 
 def moduli_decomposition() -> dict:
-    """The three-component moduli decomposition with all cross-checks applied.
+    """The three-component moduli decomposition.
 
     Dimensions are h^1 of the tangent sheaf; the pair counts and component
-    count are read from the orbits of the valid torsion data, and each call
-    compares the counts with the cover degrees: a mismatch raises ConsistencyError.
+    count are the orbit sizes of :func:`torsion_orbits`, whose partition and
+    cover-degree check are built once per process.
     """
-    components = {t: surface_report(t)["moduli"] for t in FAMILIES}
-    counts = pair_counts()
-    for t, component in components.items():
-        if counts.get(t, 0) != component["cover_degree"]:
-            raise ConsistencyError(
-                f"type {t.value}: {counts.get(t, 0)} torsion data but "
-                f"cover degree {component['cover_degree']}"
-            )
+    counts = {t: len(data) for t, data in torsion_orbits()}
+    components = [surface_report(t)["moduli"] for t in FAMILIES]
     return {
-        "components": list(components.values()),
+        "components": components,
         "component_count": sum(t in FAMILIES for t in counts),
-        "dimensions": [component["dimension"] for component in components.values()],
-        "pair_counts": {t.value: counts[t] for t in components},
+        "dimensions": [component["dimension"] for component in components],
+        "pair_counts": {t.value: counts[t] for t in FAMILIES},
         "degenerate_pairs": counts.get(SurfaceType.PG3, 0),
         "ample_canonical": {t.value: family.ample.removeprefix("the ")
                             for t, family in FAMILIES.items()},

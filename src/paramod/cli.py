@@ -9,7 +9,7 @@ because the C encoder of CPython 3.10 to 3.12 cannot indent and json.dumps
 would run its pure-Python encoder instead (3.13's C encoder can).
 
 Exit codes: 0 success, 2 input validation failure (including text output
-that stdout cannot encode and output holding an integer too long to print),
+that stdout cannot encode and a payload holding an integer too long to print),
 1 internal cross-check failure or any other exception a handler or a text
 renderer raises (either indicates a bug, never a bad input; the latter is
 reported as "internal error: <type>: <message>" instead of a traceback).
@@ -89,6 +89,17 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
         sys.stdout.write("".join(parts))
     else:
         sys.stdout.write("\n".join(text_lines(payload)) + "\n")
+
+
+def _holds_int_at_least(value, bound: int) -> bool:
+    """Whether value, a payload or a part of one, holds an int v with abs(v) >= bound."""
+    if isinstance(value, int):
+        return abs(value) >= bound
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(_holds_int_at_least(v, bound) for v in value)
 
 
 def _positive_int(text: str) -> int:
@@ -409,13 +420,14 @@ def main(argv=None) -> int:
         sys.stderr.write(f"invalid input: {bad!r} cannot be written as {exc.encoding} "
                          "text; --format json escapes it\n")
         return 2
-    except ValueError:
-        # the one other failure: an int longer than the interpreter's limit on
-        # str() digits; both formats build the whole string before writing it
-        sys.stderr.write("invalid input: the output holds an integer with more "
-                         "digits than Python writes as text\n")
-        return 2
-    except Exception as exc:  # a bug in a text renderer; nothing was written
+    except Exception as exc:  # nothing was written: both formats build the whole string first
+        # the one input error left: an int longer than the interpreter's limit
+        # on str() digits, told from the payload; anything else is a bug
+        limit = sys.get_int_max_str_digits()
+        if isinstance(exc, ValueError) and limit and _holds_int_at_least(payload, 10 ** limit):
+            sys.stderr.write("invalid input: the output holds an integer with more "
+                             "digits than Python writes as text\n")
+            return 2
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 1
     return 0

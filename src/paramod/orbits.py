@@ -12,8 +12,7 @@ no words: it enumerates the group by whole cosets (Dimino's algorithm) over
 byte strings of at most 256 points, each product one ``bytes.translate``,
 and takes the closure's point orbits from the engine.  The standard sets and
 the CLI's psi12 closure are constants of the six generators: each is built
-once per process, the first time it is asked for, and never at import; so is
-:func:`torsion_orbits`, the typed orbits the moduli decomposition counts.
+once per process, the first time it is asked for, and never at import.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ import functools
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from paramod import classifier
-from paramod.classifier import FAMILIES, SurfaceType
-from paramod.errors import ConsistencyError
+from paramod.classifier import FAMILIES, SurfaceType, torsion_orbits
 from paramod.lattice import (
     CharacterTable,
     character_table,
@@ -302,23 +299,6 @@ def psi12_closure() -> tuple[ClosureReport, tuple[str, ...]]:
             tuple(p.cycle_string(lset.labels) for p in perms))
 
 
-@functools.cache
-def torsion_orbits() -> tuple[tuple[SurfaceType, tuple], ...]:
-    """The orbits of the 64 valid torsion data, each with the one type its data have;
-    ConsistencyError names an orbit with two types, or with an earlier orbit's type.
-    """
-    lset, _, part = standard_set("torsion64")
-    typed = {}
-    for block in part.blocks:
-        types = {classifier.classify(*lset.elements[i]) for i in block}
-        if len(types) != 1 or types <= typed.keys():
-            raise ConsistencyError(
-                f"torsion-data orbit of {lset.labels[block[0]]} has types "
-                f"{sorted(t.value for t in types)}, earlier orbits {[t.value for t in typed]}")
-        typed[types.pop()] = tuple(lset.elements[i] for i in block)
-    return tuple(typed.items())
-
-
 def standard_orbit_report(set_name: str) -> dict:
     """Orbit partition of one of the named sets under the six generators."""
     lset, _, part = standard_set(set_name)
@@ -349,20 +329,16 @@ def standard_orbit_report(set_name: str) -> dict:
 def component_report() -> dict:
     """Connected-component and cover-degree summary for the decorated moduli.
 
-    Each call compares the size of each family's orbit in :func:`torsion_orbits`
-    with its cover degree in ``classifier.FAMILIES``; a mismatch, or a family
-    with no orbit, raises ConsistencyError.
+    Each orbit_size_check is the size of the family's orbit in
+    ``classifier.torsion_orbits()``, which checked it against the family's
+    cover degree once, when the partition was built.
     """
     orbit_of = dict(torsion_orbits())
 
     def component(name, marking, family) -> dict:
-        cover_degree = FAMILIES[family].cover_degree
-        orbit_size_check = len(orbit_of.get(family, ()))
-        if orbit_size_check != cover_degree:
-            raise ConsistencyError(
-                f"component {name}: cover degree {cover_degree} but orbit size {orbit_size_check}")
-        return {"name": name, "marking": marking, "cover_degree": cover_degree,
-                "orbit_size_check": orbit_size_check}
+        return {"name": name, "marking": marking,
+                "cover_degree": FAMILIES[family].cover_degree,
+                "orbit_size_check": len(orbit_of[family])}
 
     single = component("single", "(2-torsion bundle in the image, order-4 square root)",
                        SurfaceType.II)

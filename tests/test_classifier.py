@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from paramod import classifier, cli, orbits
+from paramod import classifier, cli
 from paramod.classifier import (
     FAMILIES,
     SurfaceType,
@@ -12,7 +12,6 @@ from paramod.classifier import (
     degenerate_report,
     h1_tangent,
     moduli_decomposition,
-    pair_counts,
     surface_report,
 )
 from paramod.doublecover import forest, invariants
@@ -71,17 +70,17 @@ def test_classify_rejects_wrong_orders():
 
 
 def test_pair_counts_match_cover_degrees():
-    counts = pair_counts()
+    counts = {t: len(data) for t, data in classifier.torsion_orbits()}
     assert counts[SurfaceType.Ia] == 12
     assert counts[SurfaceType.Ib] == 3
     assert counts[SurfaceType.II] == 48
     assert counts[SurfaceType.PG3] == 1
     assert SurfaceType.Invalid not in counts
-    # the counts are computed once per process; a caller's edits stay its own
-    counts[SurfaceType.Ia] = 0
-    del counts[SurfaceType.II]
-    assert pair_counts() == {SurfaceType.Ia: 12, SurfaceType.Ib: 3, SurfaceType.II: 48,
-                             SurfaceType.PG3: 1}
+    # the partition is built once per process; a caller's edits stay its own
+    pair_counts = moduli_decomposition()["pair_counts"]
+    pair_counts["Ia"] = 0
+    del pair_counts["II"]
+    assert moduli_decomposition()["pair_counts"] == {"Ia": 12, "Ib": 3, "II": 48}
 
 
 def test_second_moduli_call_classifies_nothing(monkeypatch):
@@ -92,7 +91,7 @@ def test_second_moduli_call_classifies_nothing(monkeypatch):
         return classify(q, root)
 
     monkeypatch.setattr(classifier, "classify", counted)
-    orbits.torsion_orbits.cache_clear()
+    classifier.torsion_orbits.cache_clear()
     assert cli.main(["moduli"]) == 0
     assert len(calls) == 64
     assert cli.main(["moduli"]) == 0
@@ -100,23 +99,22 @@ def test_second_moduli_call_classifies_nothing(monkeypatch):
 
 
 def test_moduli_type_without_torsion_data_is_an_internal_failure(monkeypatch, capsys):
-    # with no torsion datum of type II its count is 0, and the cover-degree
-    # check fails with exit 1; a KeyError there would reach the invalid-input
-    # handler and exit 2; the component report, checked on its own, sees an
-    # orbit of size 0 in the same way
+    # with no torsion datum of type II its count is 0, and the one cover-degree
+    # check, run when the partition is built, fails with exit 1; the component
+    # report, called on its own, raises the same message from the same check
     def without_type_ii(q, root, classify=classifier.classify):
         t = classify(q, root)
         return SurfaceType.Invalid if t is SurfaceType.II else t
 
     monkeypatch.setattr(classifier, "classify", without_type_ii)
-    orbits.torsion_orbits.cache_clear()
+    classifier.torsion_orbits.cache_clear()
     try:
         code = cli.main(["moduli"])
         with pytest.raises(ConsistencyError,
-                           match="^component single: cover degree 48 but orbit size 0$"):
+                           match=r"^type II: 0 torsion data but cover degree 48$"):
             component_report()
     finally:
-        orbits.torsion_orbits.cache_clear()
+        classifier.torsion_orbits.cache_clear()
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == "internal cross-check failure: type II: 0 torsion data but cover degree 48\n"
@@ -142,11 +140,11 @@ def test_moduli_type_not_one_orbit_is_an_internal_failure(monkeypatch, capsys, r
         return retyped.get((q, root)) or classify(q, root)
 
     monkeypatch.setattr(classifier, "classify", patched)
-    orbits.torsion_orbits.cache_clear()
+    classifier.torsion_orbits.cache_clear()
     try:
         code = cli.main(["moduli"])
     finally:
-        orbits.torsion_orbits.cache_clear()
+        classifier.torsion_orbits.cache_clear()
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == f"internal cross-check failure: {message}\n"
@@ -174,13 +172,25 @@ def test_moduli_builds_only_the_torsion_set_in_a_fresh_process():
 
 
 @pytest.mark.parametrize("t", list(FAMILIES))
-def test_stated_cover_degree_checked_by_counts_and_orbits(monkeypatch, t):
+def test_stated_cover_degree_checked_by_counts_and_orbits(monkeypatch, capsys, t):
+    # the partition checks the cover degrees once, when it is built: a stated
+    # degree one too high fails the CLI and both reports with one message
     family = FAMILIES[t]
-    monkeypatch.setitem(FAMILIES, t, family._replace(cover_degree=family.cover_degree + 1))
-    with pytest.raises(ConsistencyError, match="cover degree"):
-        moduli_decomposition()
-    with pytest.raises(ConsistencyError, match="cover degree"):
-        component_report()
+    n = family.cover_degree
+    message = f"type {t.value}: {n} torsion data but cover degree {n + 1}"
+    monkeypatch.setitem(FAMILIES, t, family._replace(cover_degree=n + 1))
+    classifier.torsion_orbits.cache_clear()
+    try:
+        code = cli.main(["moduli"])
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
+            moduli_decomposition()
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
+            component_report()
+    finally:
+        classifier.torsion_orbits.cache_clear()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"internal cross-check failure: {message}\n"
 
 
 def test_importing_classifier_builds_no_table():

@@ -438,19 +438,28 @@ def test_other_handler_exceptions_exit_1(monkeypatch, capsys, module, name, argv
     assert err == "internal error: IndexError: forced for the exit-code test\n"
 
 
-@pytest.mark.parametrize("module,name,payload,argv,missing", [
-    (chern, "dimension_ledger", [{}], ["--format", "text", "ledger"], "h0"),
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("renderer bug")
+
+
+@pytest.mark.parametrize("module,name,payload,argv,error", [
+    (chern, "dimension_ledger", [{}], ["--format", "text", "ledger"], "KeyError: 'h0'"),
     (classifier, "moduli_decomposition", {}, ["--format", "text", "moduli"],
-     "component_count"),
-], ids=["ledger", "moduli"])
+     "KeyError: 'component_count'"),
+    (chern, "dimension_ledger", [{"h0": _Unprintable()}], ["--format", "text", "ledger"],
+     "ValueError: renderer bug"),
+], ids=["ledger", "moduli", "ledger-valueerror"])
 def test_text_renderer_exceptions_exit_1(monkeypatch, capsys, module, name, payload, argv,
-                                         missing):
-    # a payload the renderer cannot read makes it raise KeyError while stdout is
-    # still empty: a bug, so exit 1 with a one-line message, not a traceback
+                                         error):
+    # a payload the renderer cannot read makes it raise while stdout is still
+    # empty: a bug, so exit 1 with a one-line message, not a traceback; a
+    # ValueError counts as bad input only when the payload holds an int too
+    # long to print, and this one holds none
     monkeypatch.setattr(module, name, lambda: payload)
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (1, "")
-    assert err == f"internal error: KeyError: '{missing}'\n"
+    assert err == f"internal error: {error}\n"
 
 
 _IDENTITY = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
@@ -567,7 +576,7 @@ def test_stored_stdout_twice_in_one_process(monkeypatch, capsys):
         stored = json.load(fh)
     monkeypatch.chdir(ROOT)
     orbits.standard_set.cache_clear()
-    orbits.torsion_orbits.cache_clear()
+    classifier.torsion_orbits.cache_clear()
     for key in list(stored) + list(stored)[::-1]:
         assert main(key.split(" ")) == 0, key
         assert capsys.readouterr().out == stored[key], key

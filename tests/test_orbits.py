@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbit_reference
-from paramod import cli, orbits, paramodular
+from paramod import classifier, cli, orbits, paramodular
 from paramod.lattice import Character, character_table, make_lattice
 from paramod.orbits import (
     LabeledSet,
@@ -462,7 +462,7 @@ def test_second_moduli_call_applies_no_generator(monkeypatch):
         for name in calls:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     orbits.standard_set.cache_clear()
-    orbits.torsion_orbits.cache_clear()
+    classifier.torsion_orbits.cache_clear()
     assert cli.main(["moduli"]) == 0
     assert calls["act"] > 0 and calls["act_pair"] > 0
     before = dict(calls)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from paramod.errors import ConsistencyError
+from paramod.errors import ConsistencyError, InputError
 
 L_SELF_INTERSECTION = 4
 
@@ -36,7 +36,7 @@ class ChernDatum(_ChernDatumFields):
 
     def __new__(cls, rank: int, c1: int, c2: int) -> "ChernDatum":
         if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+            raise InputError(f"rank must be >= 1, got {rank}")
         return super().__new__(cls, rank, c1, c2)
 
 

@@ -27,7 +27,7 @@ import enum
 import functools
 from typing import NamedTuple
 
-from paramod.errors import ConsistencyError
+from paramod.errors import ConsistencyError, InputError
 from paramod.lattice import Character, character_table, make_lattice
 
 ABELIAN_MODULI_DIM = 3
@@ -103,9 +103,9 @@ FAMILIES = {
 def classify(q: Character, root: Character) -> SurfaceType:
     """Surface type of the torsion datum (q, root) with root^2 = q."""
     if q.n != 2 or root.n != 4:
-        raise ValueError("expected an order-2 character and an order-4 square root")
+        raise InputError("expected an order-2 character and an order-4 square root")
     if root.square() != q:
-        raise ValueError(
+        raise InputError(
             f"root {root.exponents} squares to {root.square().exponents}, not {q.exponents}"
         )
     image = character_table(make_lattice(2)).chi
@@ -208,15 +208,15 @@ def torsion_orbits() -> tuple[tuple[SurfaceType, tuple], ...]:
 def moduli_decomposition() -> dict:
     """The three-component moduli decomposition.
 
-    Dimensions are h^1 of the tangent sheaf; the pair counts and component
-    count are the orbit sizes of :func:`torsion_orbits`, whose partition and
-    cover-degree check are built once per process.
+    Dimensions are h^1 of the tangent sheaf, one component per family; the
+    pair counts are the orbit sizes of :func:`torsion_orbits`, whose
+    partition and cover-degree check are built once per process.
     """
     counts = {t: len(data) for t, data in torsion_orbits()}
     components = [surface_report(t)["moduli"] for t in FAMILIES]
     return {
         "components": components,
-        "component_count": sum(t in FAMILIES for t in counts),
+        "component_count": len(components),
         "dimensions": [component["dimension"] for component in components],
         "pair_counts": {t.value: counts[t] for t in FAMILIES},
         "degenerate_pairs": counts.get(SurfaceType.PG3, 0),

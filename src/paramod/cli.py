@@ -8,11 +8,14 @@ json.dumps(payload, sort_keys=True, indent=2) gives; _json_parts writes it,
 because the C encoder of CPython 3.10 to 3.12 cannot indent and json.dumps
 would run its pure-Python encoder instead (3.13's C encoder can).
 
-Exit codes: 0 success, 2 input validation failure (including text output
-that stdout cannot encode and a payload holding an integer too long to print),
-1 internal cross-check failure or any other exception a handler or a text
-renderer raises (either indicates a bug, never a bad input; the latter is
-reported as "internal error: <type>: <message>" instead of a traceback).
+Exit codes follow the type of what went wrong, one rule per code:
+- 0: the output was written.
+- 2: argparse rejected the arguments, a handler raised errors.InputError or
+  OSError, or stdout cannot take the output (text that its encoding cannot
+  hold, or an integer with more digits than Python writes as text).
+- 1: a handler raised ConsistencyError ("internal cross-check failure"), or a
+  handler or text renderer raised any other exception, a plain ValueError or
+  KeyError included ("internal error: <type>: <message>", not a traceback).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from paramod import chern, classifier, doublecover, orbits
-from paramod.errors import ConsistencyError
+from paramod.errors import TOO_MANY_DIGITS, ConsistencyError, InputError
 from paramod.lattice import character_to_json, parse_character, parse_int, parse_ints
 from paramod.paramodular import (
     act,
@@ -105,7 +108,7 @@ def _holds_int_at_least(value, bound: int) -> bool:
 def _positive_int(text: str) -> int:
     try:
         value = parse_int(text)
-    except ValueError:
+    except InputError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -202,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_generator(name: str):
     generators = dict(special_generators())
     if name not in generators:
-        raise ValueError(f"unknown generator {name!r}; choose from {list(generators)}")
+        raise InputError(f"unknown generator {name!r}; choose from {list(generators)}")
     return generators[name]
 
 
@@ -288,13 +291,18 @@ def _classify_text(payload: dict):
 
 
 def _cmd_invariants(args) -> dict:
-    with open(args.forest, encoding="utf-8") as fh:
-        try:
+    # doublecover imports nothing from the package, so the file's errors are
+    # typed here: a ValueError from reading the JSON (malformed, not UTF-8, an
+    # int too long to parse), from checking the forest or from scoring it
+    try:
+        with open(args.forest, encoding="utf-8") as fh:
             payload = json.load(fh)
-        except RecursionError:
-            raise ValueError("forest JSON is nested too deeply") from None
-    l2, f = doublecover.forest_from_json(payload)
-    inv = doublecover.invariants(l2, f)
+        l2, f = doublecover.forest_from_json(payload)
+        inv = doublecover.invariants(l2, f)
+    except RecursionError:
+        raise InputError("forest JSON is nested too deeply") from None
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     out = inv._asdict()
     out["L2"] = l2
     out["pairs_33"] = [list(p) for p in doublecover.detect_33_pairs(f)]
@@ -405,10 +413,11 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"internal cross-check failure: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
-    except Exception as exc:  # a bug; argparse's SystemExit is not an Exception
+    except Exception as exc:  # a bug, a plain ValueError or KeyError included;
+        # argparse's SystemExit is not an Exception
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 1
     try:
@@ -425,8 +434,7 @@ def main(argv=None) -> int:
         # on str() digits, told from the payload; anything else is a bug
         limit = sys.get_int_max_str_digits()
         if isinstance(exc, ValueError) and limit and _holds_int_at_least(payload, 10 ** limit):
-            sys.stderr.write("invalid input: the output holds an integer with more "
-                             "digits than Python writes as text\n")
+            sys.stderr.write(f"invalid input: {TOO_MANY_DIGITS}\n")
             return 2
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 1

@@ -19,6 +19,8 @@ import re
 from itertools import product
 from typing import NamedTuple
 
+from paramod.errors import InputError
+
 Vec4 = tuple[int, int, int, int]
 
 
@@ -200,23 +202,27 @@ _INTEGER = re.compile("[+-]?" + DIGITS)
 
 
 def parse_int(text: str, signed: bool = True) -> int:
-    """The integer text spells after strip(); ValueError outside the grammar."""
+    """The integer text spells after strip(); InputError outside the grammar."""
     text = text.strip()
     if (_INTEGER if signed else _INDEX).fullmatch(text) is None:
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+        raise InputError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        # the grammar leaves only the interpreter's limit on int digits
+        raise InputError("an integer has more digits than Python parses") from None
 
 
 def parse_ints(text: str, count: int, what: str) -> list[int]:
-    """The count comma-separated integers of text; ValueError naming what otherwise."""
+    """The count comma-separated integers of text; InputError naming what otherwise."""
     parts = text.split(",")
     if len(parts) != count:
-        raise ValueError(f"expected {count} comma-separated integers for {what}, "
+        raise InputError(f"expected {count} comma-separated integers for {what}, "
                          f"got {text!r}")
     try:
         return [parse_int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"non-integer value in {what}: {text!r}") from None
+    except InputError:
+        raise InputError(f"non-integer value in {what}: {text!r}") from None
 
 
 def parse_character(text: str, n: int) -> Character:
@@ -228,10 +234,10 @@ def parse_character(text: str, n: int) -> Character:
         offset = 0 if text.startswith("chi") else -1
         try:
             idx = parse_int(text[3:], signed=False) + offset
-        except ValueError:
-            raise ValueError(f"malformed character label {text!r}") from None
+        except InputError:
+            raise InputError(f"malformed character label {text!r}") from None
         if not 0 <= idx < len(block):
-            raise ValueError(f"character label {text!r} out of range")
+            raise InputError(f"character label {text!r} out of range")
         c = block[idx]
         return c if n == 2 else c.lift4()
     return Character(n, tuple(parse_ints(text, 4, "character exponents")))

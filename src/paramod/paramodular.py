@@ -38,6 +38,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
+from paramod.errors import TOO_MANY_DIGITS, InputError
 from paramod.lattice import DIGITS, Character, make_lattice
 
 Mat4 = tuple[tuple[Fraction, ...], ...]
@@ -153,7 +154,7 @@ def is_member(entries, d: int = 2) -> MembershipCertificate:
     already failed and symplectic_ok is False.
     """
     if d < 1:
-        raise ValueError(f"polarization type d must be >= 1, got {d}")
+        raise InputError(f"polarization type d must be >= 1, got {d}")
     m = mat(entries)
     violation: Optional[tuple[int, int, str]] = next(
         ((i + 1, j + 1, f"entry {x} not in {cell}*Z")
@@ -176,11 +177,14 @@ def is_member(entries, d: int = 2) -> MembershipCertificate:
         preserved = mat_mul(mat_mul(transpose(n), e), n)
         symplectic_ok = preserved == e
         if not symplectic_ok and pattern_ok:
-            violation = next(
-                (i + 1, j + 1, f"form not preserved: (N^T E N)[{i + 1}][{j + 1}] = "
-                               f"{preserved[i][j]}, want {e[i][j]}")
-                for i in range(4) for j in range(4) if preserved[i][j] != e[i][j]
-            )
+            try:
+                violation = next(
+                    (i + 1, j + 1, f"form not preserved: (N^T E N)[{i + 1}][{j + 1}] = "
+                                   f"{preserved[i][j]}, want {e[i][j]}")
+                    for i in range(4) for j in range(4) if preserved[i][j] != e[i][j]
+                )
+            except ValueError:  # the interpreter's limit on str() digits
+                raise InputError(TOO_MANY_DIGITS) from None
     monodromy = None
     if pattern_ok and symplectic_ok:
         monodromy = tuple(tuple(int(x) for x in row) for row in n)
@@ -199,7 +203,7 @@ def member(entries) -> ParamodularMatrix:
     m = mat(entries)
     cert = is_member(m)
     if not cert.ok:
-        raise ValueError(f"not a group element: {cert.to_json()['first_violation']}")
+        raise InputError(f"not a group element: {cert.to_json()['first_violation']}")
     return ParamodularMatrix(m, cert.monodromy)
 
 
@@ -295,20 +299,20 @@ def parse_matrix(text: str) -> Mat4:
     """Parse 16 comma-separated rationals, row-major, each an integer or p/q."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 16:
-        raise ValueError(f"expected 16 comma-separated rationals, got {len(parts)}")
+        raise InputError(f"expected 16 comma-separated rationals, got {len(parts)}")
     vals = []
     for k, p in enumerate(parts, start=1):
         match = _RATIONAL.fullmatch(p)
         if match is None:
-            raise ValueError(f"entry {k} is not an integer or p/q: {p!r}")
+            raise InputError(f"entry {k} is not an integer or p/q: {p!r}")
         num, den = match.groups()
         try:
             vals.append(Fraction(int(num)) if den is None else Fraction(int(num), int(den)))
         except ZeroDivisionError:
-            raise ValueError(f"entry {k} has denominator 0: {p!r}") from None
+            raise InputError(f"entry {k} has denominator 0: {p!r}") from None
         except ValueError:
             # the grammar leaves only the interpreter's limit on int digits
-            raise ValueError(f"entry {k} has more digits than Python parses "
+            raise InputError(f"entry {k} has more digits than Python parses "
                              "into an integer") from None
     # the 16 entries are already Fractions in a fixed shape, so mat has nothing to check
     return tuple(vals[0:4]), tuple(vals[4:8]), tuple(vals[8:12]), tuple(vals[12:16])

@@ -1,12 +1,12 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -294,6 +294,33 @@ def test_integer_too_long_to_print_exits_2(tmp_path, monkeypatch, capsys, argv, 
                    "than Python writes as text\n")
 
 
+_TEN_3000 = "1" + "0" * 3000
+# cells (1,3) and (3,1) of 10^3000 put entries of 6000 digits into N^T E N
+_LONG_FORM_MATRIX = f"1,0,{_TEN_3000},0,0,1,0,0,{_TEN_3000},0,1,0,0,0,0,1"
+# a (2d, 2d+2) pair with d about 10^2200: its K^2 note needs 4400 digits
+_LONG_PAIR_FOREST = '{"L2": 4, "nodes": [{"id": "p", "d": 2%s},' \
+                    ' {"id": "q", "d": 2%s, "parent": "p"}]}' % ("0" * 2200, "0" * 2199 + "2")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["membership", "--matrix", _LONG_FORM_MATRIX],
+     "the output holds an integer with more digits than Python writes as text"),
+    (["invariants", "--forest", "long_pair.json"],
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["membership", "invariants"])
+def test_integer_too_long_to_print_in_handler_exits_2(tmp_path, monkeypatch, capsys,
+                                                      argv, message):
+    # the handler itself writes the too-long int into a message: the form
+    # violation's reason, or the forest's K^2 note.  doublecover imports nothing
+    # from the package, so the forest case keeps Python's own message
+    (tmp_path / "long_pair.json").write_text(_LONG_PAIR_FOREST, encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: {message}")
+    assert err.count("\n") == 1
+
+
 def _invariants_text_lines(capsys, tmp_path, nodes):
     forest = tmp_path / "forest.json"
     forest.write_text(json.dumps({"L2": 8, "nodes": nodes}), encoding="utf-8")
@@ -417,25 +444,52 @@ def test_internal_cross_check_failure_exits_1(monkeypatch, capsys):
     assert "internal cross-check failure" in err
 
 
-@pytest.mark.parametrize("module,name,argv", [
-    (orbits, "psi12_closure", ["orbits", "--set", "psi12", "--closure"]),
-    (paramodular, "act", ["act", "--gen", "J", "--char", "psi1"]),
-    (chern, "dimension_ledger", ["ledger"]),
-], ids=["closure", "act", "ledger"])
-def test_other_handler_exceptions_exit_1(monkeypatch, capsys, module, name, argv):
+# where a fault is injected, and a command that reaches it
+_FAULT_SITES = {
+    "closure": (orbits, "psi12_closure", ["orbits", "--set", "psi12", "--closure"]),
+    "tables": (orbits, "_tables", ["orbits", "--set", "psi12"]),
+    "act": (paramodular, "act", ["act", "--gen", "J", "--char", "psi1"]),
+    "ledger": (chern, "dimension_ledger", ["ledger"]),
+}
+
+
+@pytest.mark.parametrize("site,error", [
+    *(pytest.param(site, IndexError, id=site) for site in ("closure", "act", "ledger")),
+    pytest.param("tables", IndexError, id="tables-IndexError"),
+    *(pytest.param(site, error, id=f"{site}-{error.__name__}")
+      for site in ("tables", "act", "ledger") for error in (ValueError, KeyError)),
+])
+def test_other_handler_exceptions_exit_1(monkeypatch, capsys, site, error):
     # an exception outside the contract's types is a bug: exit 1 with a one-line
-    # message, not a traceback; cli imports act by name, so patch every
-    # namespace that holds the function
+    # message, not a traceback.  Only InputError is bad input, so a plain
+    # ValueError or KeyError from code that reads no input exits 1 too.  cli
+    # and orbits import act by name, so patch every namespace that holds the
+    # function; the standard sets are cached, so _tables runs only on a rebuild
+    module, name, argv = _FAULT_SITES[site]
+    exc = error("forced for the exit-code test")
+
     def boom(*args):
-        raise IndexError("forced for the exit-code test")
+        raise exc
 
     original = getattr(module, name)
     for namespace in (cli, orbits, paramodular, chern):
         if getattr(namespace, name, None) is original:
             monkeypatch.setattr(namespace, name, boom)
+    orbits.standard_set.cache_clear()
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (1, "")
-    assert err == "internal error: IndexError: forced for the exit-code test\n"
+    assert err == f"internal error: {error.__name__}: {exc}\n"
+
+
+def test_standard_set_leaving_its_set_exits_1(monkeypatch, capsys):
+    # a table that sends a psi12 character out of the set fails _tables' check,
+    # a plain ValueError: a bug, not bad input
+    orbits.standard_set.cache_clear()
+    monkeypatch.setattr(orbits, "act", lambda m, c: c.lift4())
+    code, out, err = run_cli(capsys, ["orbits", "--set", "psi12"])
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: ValueError: set is not stable: psi1 is sent to ")
+    assert err.count("\n") == 1
 
 
 class _Unprintable:
@@ -608,33 +662,20 @@ def test_only_closure_commands_build_the_closure(monkeypatch, capsys):
     assert out == "0\n"
 
 
-def test_set_building_goldens_under_hash_seeds_and_optimize():
+def test_set_building_goldens_under_hash_seeds_and_optimize(monkeypatch):
     # orbits and moduli build sets and dicts of hashed states; in fresh
     # processes with two hash seeds and under -O (a random seed, no asserts)
-    # each must still print its stored bytes
+    # each must still print its stored bytes.  tools/golden_matrix.py holds
+    # the three settings and the run loop
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    golden_matrix = importlib.import_module("golden_matrix")
     with open(ROOT / "tests" / "golden" / "stdout.json", encoding="utf-8") as fh:
         stored = json.load(fh)
-    keys = [key for key in stored
-            if key.split(" ")[2 if key.startswith("--format") else 0] in ("orbits", "moduli")]
-    assert len(keys) == 10
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    env.pop("PYTHONHASHSEED", None)
-    configs = [({"PYTHONHASHSEED": "0"}, []), ({"PYTHONHASHSEED": "1"}, []), ({}, ["-O"])]
-
-    def run(job):
-        key, (extra_env, flags) = job
-        proc = subprocess.run([sys.executable, *flags, "-m", "paramod", *key.split(" ")],
-                              cwd=ROOT, env={**env, **extra_env}, capture_output=True)
-        return key, extra_env, flags, proc.returncode, proc.stdout
-
-    jobs = [(key, config) for key in keys for config in configs]
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        results = list(pool.map(run, jobs))
-    mismatches = [(key, extra_env, flags, code) for key, extra_env, flags, code, out in results
-                  if code != 0 or out != stored[key].encode("utf-8")]
-    assert mismatches == []
+    set_building = {key: out for key, out in stored.items()
+                    if key.split(" ")[2 if key.startswith("--format") else 0]
+                    in ("orbits", "moduli")}
+    assert len(set_building) == 10
+    assert golden_matrix.first_mismatch(sys.executable, set_building) is None
 
 
 def test_cached_parser_keeps_no_state(monkeypatch, capsys):
